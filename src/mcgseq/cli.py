@@ -50,6 +50,8 @@ class RunConfig:
     def __post_init__(self):
         if self.format not in ("json", "text", "dot"):
             raise ParseError(f"unknown format {self.format!r}")
+        if self.max_len is not None and self.max_len < 0:
+            raise ParseError(f"--max-len must be >= 0, got {self.max_len}")
         if (
             self.max_len is not None
             and self.max_len > MAX_LEN_GUARD
@@ -107,6 +109,12 @@ def _load_manifold(args):
     if not getattr(args, "manifold", None):
         raise ParseError("this command needs --manifold")
     return textio.parse_manifold(_read(args.manifold))
+
+
+def _load_marking(args, command: str):
+    if not getattr(args, "manifold", None):
+        raise ParseError(f"{command} needs --manifold (a spotted marking file)")
+    return textio.parse_spotted_marking(_read(args.manifold))
 
 
 def _load_family(args, manifold):
@@ -296,9 +304,7 @@ def cmd_normalize_system(args):
 
 
 def cmd_spotted_educe(args):
-    if not getattr(args, "manifold", None):
-        raise ParseError("spotted-educe needs --manifold (a spotted marking file)")
-    marking = textio.parse_spotted_marking(_read(args.manifold))
+    marking = _load_marking(args, "spotted-educe")
     if not getattr(args, "word", None):
         raise ParseError("spotted-educe needs --word")
     letters = textio.parse_spotted_word(marking, _read(args.word))
@@ -321,7 +327,7 @@ def cmd_verify(args):
         )
     max_len = args.max_len if args.max_len is not None else 3
     if args.suite == "spotted":
-        marking = textio.parse_spotted_marking(_read(args.manifold))
+        marking = _load_marking(args, "verify --suite spotted")
         report = suite(marking, max_len=max_len)
     else:
         manifold = _load_manifold(args)

@@ -11,7 +11,7 @@ what each sphere encloses: a laminar multiset of subsets of L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InvalidFamily, NotReducible, NotSymmetric, OracleError
@@ -148,10 +148,23 @@ class HomeoType:
 
 @dataclass(frozen=True)
 class PrimeDecomposition:
-    """W as an ordered list of irreducible summand types plus a handle count."""
+    """W as an ordered list of irreducible summand types plus a handle count.
+
+    A label is a bit in ``labels()`` order and a block is an ``int`` mask
+    over those bits.  The label order, the masks of L and of each handle's
+    two ends, and the hash are derived once, here: the dataclass hash would
+    rehash every nested summand type on each call.
+    """
 
     summands: tuple[HomeoType, ...]
     handles: int
+    _labels: tuple = field(init=False, repr=False, compare=False, default=())
+    label_bits: dict = field(init=False, repr=False, compare=False, default=None)
+    full_mask: int = field(init=False, repr=False, compare=False, default=0)
+    handle_masks: tuple = field(init=False, repr=False, compare=False, default=())
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    # the identity of H(V), built on first use by sequence.identity_image
+    _identity_image: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.handles < 0:
@@ -160,6 +173,26 @@ class PrimeDecomposition:
             raise NotReducible(
                 f"k={len(self.summands)}, l={self.handles}: W is not reducible"
             )
+        k = len(self.summands)
+        labels = [s_label(i) for i in range(1, k + 1)]
+        for j in range(1, self.handles + 1):
+            labels += [e_label(j, 1), e_label(j, -1)]
+        derived = {
+            "_labels": tuple(labels),
+            "label_bits": {lab: 1 << n for n, lab in enumerate(labels)},
+            "full_mask": (1 << len(labels)) - 1,
+            "handle_masks": tuple(3 << (k + 2 * j) for j in range(self.handles)),
+            "_hash": hash((self.summands, self.handles)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: a hash taken in another process is stale
+        return (PrimeDecomposition, (self.summands, self.handles))
 
     @property
     def k(self) -> int:
@@ -175,11 +208,18 @@ class PrimeDecomposition:
         return self.summands[i - 1]
 
     def labels(self) -> tuple[Label, ...]:
-        labs = [s_label(i) for i in range(1, self.k + 1)]
-        for j in range(1, self.ell + 1):
-            labs.append(e_label(j, 1))
-            labs.append(e_label(j, -1))
-        return tuple(sorted(labs, key=label_key))
+        return self._labels
+
+    def mask_of(self, block) -> int:
+        """The mask of a block of labels in L."""
+        bits = self.label_bits
+        try:
+            return sum(map(bits.__getitem__, block))
+        except KeyError:
+            raise InvalidFamily(_unknown_label_message(self, frozenset(block)))
+
+    def block_of(self, mask: int) -> frozenset:
+        return _decode(self.label_bits, mask)
 
     def type_classes(self) -> list[list[int]]:
         """Summand indices grouped by shared HomeoType, in index order."""
@@ -197,6 +237,26 @@ class PrimeDecomposition:
 
 # ---------------------------------------------------------------------------
 # laminar families
+#
+# Internally a family is a tuple of masks.  Sorting masks by mask_key is
+# sorting their blocks by block_key, because bits follow label_key order.
+
+
+def mask_key(mask: int):
+    """Size, then set-bit indices: block_key of the mask's block."""
+    return (mask.bit_count(), [n for n in range(mask.bit_length()) if mask >> n & 1])
+
+
+def is_laminar(masks, full: int) -> bool:
+    """No block empty or all of L, and any two blocks nested or disjoint."""
+    for n, a in enumerate(masks):
+        if not a or a == full:
+            return False
+        for b in masks[n + 1 :]:
+            both = a & b
+            if both and both != a and both != b:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -231,54 +291,117 @@ class LaminarReport:
     duplicates: tuple[frozenset, ...]
 
 
+def _unknown_label_message(manifold: PrimeDecomposition, block: frozenset) -> str:
+    stray = block - manifold.label_bits.keys()
+    return f"block {block_text(block)} uses labels outside L: " + ",".join(
+        sorted(label_text(l) for l in stray)
+    )
+
+
+def _encode(manifold: PrimeDecomposition, blocks) -> tuple[list[int], dict, int]:
+    """Masks of arbitrary blocks, the label -> bit map they use and L's mask.
+
+    That is the manifold's map unless a block holds labels outside L (only
+    invalid input does); those get bits of their own, with every label in
+    label_key order, so that mask_key still sorts like block_key.
+    """
+    bits = manifold.label_bits
+    strays = set().union(*blocks) - bits.keys()
+    if strays:
+        order = sorted(bits.keys() | strays, key=label_key)
+        bits = {lab: 1 << n for n, lab in enumerate(order)}
+    full = sum(map(bits.__getitem__, manifold.labels()))
+    return [sum(map(bits.__getitem__, b)) for b in blocks], bits, full
+
+
+def _decode(bits: dict, mask: int) -> frozenset:
+    return frozenset(lab for lab, bit in bits.items() if mask & bit)
+
+
 def validate_laminar(manifold: PrimeDecomposition, blocks) -> LaminarReport:
     """Check the laminar family invariants; returns diagnostics, never raises."""
-    universe = set(manifold.labels())
     blocks = [frozenset(b) for b in blocks]
+    masks, _, full = _encode(manifold, blocks)
     violations: list[Violation] = []
-    for b in blocks:
-        stray = b - universe
-        if stray:
+    for b, m in zip(blocks, masks):
+        if m & ~full:
             violations.append(
-                Violation(
-                    "unknown-label",
-                    (b,),
-                    f"block {block_text(b)} uses labels outside L: "
-                    + ",".join(sorted(label_text(l) for l in stray)),
-                )
+                Violation("unknown-label", (b,), _unknown_label_message(manifold, b))
             )
-        if not b:
+        if not m:
             violations.append(Violation("empty-block", (b,), "empty block"))
-        if b == frozenset(universe):
+        if m == full:
             violations.append(
                 Violation("full-block", (b,), f"block equals L: {block_text(b)}")
             )
-    ordered = sorted(set(blocks), key=block_key)
-    for idx, a in enumerate(ordered):
-        for b in ordered[idx + 1 :]:
-            inter = a & b
-            if inter and not (a <= b or b <= a):
-                violations.append(
-                    Violation(
-                        "overlap",
-                        (a, b),
-                        f"blocks {block_text(a)} and {block_text(b)} overlap "
-                        "without nesting",
-                    )
-                )
-                break
-        if any(v.code == "overlap" for v in violations):
-            break
-    seen: dict[frozenset, int] = {}
-    for b in blocks:
-        seen[b] = seen.get(b, 0) + 1
-    duplicates = tuple(
-        sorted((b for b, n in seen.items() if n > 1), key=block_key)
+    block_of = dict(zip(masks, blocks))
+    ordered = sorted(block_of, key=mask_key)
+    overlap = next(
+        (
+            (a, b)
+            for n, a in enumerate(ordered)
+            for b in ordered[n + 1 :]
+            if a & b not in (0, a, b)
+        ),
+        None,
     )
+    if overlap:
+        a, b = (block_of[m] for m in overlap)
+        violations.append(
+            Violation(
+                "overlap",
+                (a, b),
+                f"blocks {block_text(a)} and {block_text(b)} overlap "
+                "without nesting",
+            )
+        )
+    duplicates = tuple(block_of[m] for m in ordered if masks.count(m) > 1)
     return LaminarReport(not violations, tuple(violations), duplicates)
 
 
+def family_masks(manifold: PrimeDecomposition, blocks) -> tuple[int, ...]:
+    """The masks of a laminar family's blocks, in order.
+
+    Raises InvalidFamily with validate_laminar's first message when the
+    blocks are not a laminar family over L.
+    """
+    try:
+        masks = tuple(map(manifold.mask_of, blocks))
+    except InvalidFamily:  # labels outside L; report the first violation
+        masks = None
+    if masks is None or not is_laminar(masks, manifold.full_mask):
+        raise InvalidFamily(validate_laminar(manifold, blocks).violations[0].message)
+    return masks
+
+
 ROOT = -1  # chamber id of the root (basepoint) chamber
+
+
+def _nesting_parents(masks) -> list[int]:
+    """Each block's parent: its smallest superset, the latest among equals.
+
+    Equal (parallel) blocks are chained by index: the later copy nests
+    inside the earlier one.
+    """
+    sizes = [m.bit_count() for m in masks]
+    parent = [ROOT] * len(masks)
+    for i, b in enumerate(masks):
+        candidates = [
+            j
+            for j, c in enumerate(masks)
+            if j != i and b & c == b and (b != c or j < i)
+        ]
+        if candidates:
+            parent[i] = min(candidates, key=lambda j: (sizes[j], -j))
+    return parent
+
+
+def _innermost(masks, bit: int) -> int:
+    """The chamber holding a label: its smallest block, the latest among equals."""
+    containing = [i for i, m in enumerate(masks) if m & bit]
+    if not containing:
+        return ROOT
+    return min(containing, key=lambda i: (masks[i].bit_count(), -i))
 
 
 class Forest:
@@ -293,45 +416,22 @@ class Forest:
     def __init__(self, manifold: PrimeDecomposition, blocks: tuple[frozenset, ...]):
         self.manifold = manifold
         self.blocks = tuple(blocks)
-        n = len(self.blocks)
-        self.parent: list[int] = [ROOT] * n
-        for i, b in enumerate(self.blocks):
-            candidates = [
-                j
-                for j in range(n)
-                if j != i
-                and b <= self.blocks[j]
-                and (b != self.blocks[j] or j < i)
-            ]
-            if candidates:
-                self.parent[i] = min(
-                    candidates, key=lambda j: (len(self.blocks[j]), -j)
-                )
+        self._masks, self._bits, self._full = _encode(manifold, self.blocks)
+        self.parent: list[int] = _nesting_parents(self._masks)
         self.children: dict[int, list[int]] = {ROOT: []}
-        for i in range(n):
-            self.children.setdefault(i, [])
+        for i in range(len(self.blocks)):
+            self.children[i] = []
         for i, p in enumerate(self.parent):
-            self.children.setdefault(p, []).append(i)
+            self.children[p].append(i)
 
     def chamber_of_label(self, lab: Label) -> int:
-        containing = [
-            i for i, b in enumerate(self.blocks) if lab in b
-        ]
-        if not containing:
-            return ROOT
-        return min(containing, key=lambda i: (len(self.blocks[i]), -i))
+        return _innermost(self._masks, self._bits.get(lab, 0))
 
     def census(self, chamber: int) -> frozenset:
-        if chamber == ROOT:
-            inside = set()
-            for i, p in enumerate(self.parent):
-                if p == ROOT:
-                    inside |= self.blocks[i]
-            return frozenset(set(self.manifold.labels()) - inside)
-        covered = set()
+        inside = self._full if chamber == ROOT else self._masks[chamber]
         for c in self.children.get(chamber, []):
-            covered |= self.blocks[c]
-        return frozenset(self.blocks[chamber] - covered)
+            inside &= ~self._masks[c]
+        return _decode(self._bits, inside)
 
     def path_between(self, a: int, b: int) -> list[int]:
         """Block indices crossed walking from chamber a to chamber b."""
@@ -348,12 +448,9 @@ class Forest:
         crossings = [c for c in pa if c not in sb] + [c for c in pb if c not in sa]
         return crossings
 
-    def depth(self, c: int) -> int:
-        d = 0
-        while c != ROOT:
-            c = self.parent[c]
-            d += 1
-        return d
+
+def _separates(manifold: PrimeDecomposition, mask: int) -> bool:
+    return all(mask & pair in (0, pair) for pair in manifold.handle_masks)
 
 
 def is_separating(manifold: PrimeDecomposition, block: frozenset) -> bool:
@@ -362,10 +459,8 @@ def is_separating(manifold: PrimeDecomposition, block: frozenset) -> bool:
     A sphere separates iff no handle runs from inside to outside, i.e. the
     block contains both or neither end of every handle.
     """
-    for j in range(1, manifold.ell + 1):
-        if len(block & {e_label(j, 1), e_label(j, -1)}) == 1:
-            return False
-    return True
+    bits = manifold.label_bits
+    return _separates(manifold, sum(bits.get(lab, 0) for lab in block))
 
 
 @dataclass(frozen=True)
@@ -389,6 +484,29 @@ class SystemClass:
         raise KeyError(i)
 
 
+def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool:
+    """Cutting on every block and regluing e(j,+)~e(j,-) leaves the
+    non-summand chambers connected, each handle joining two of them."""
+    bits = manifold.label_bits
+    nodes = {ROOT} | {i for i, m in enumerate(masks) if m not in summand_masks}
+    adj: dict[int, set[int]] = {n: set() for n in nodes}
+    for j in range(1, manifold.ell + 1):
+        a = _innermost(masks, bits[e_label(j, 1)])
+        b = _innermost(masks, bits[e_label(j, -1)])
+        if a not in nodes or b not in nodes or a == b:
+            return False
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {ROOT}
+    stack = [ROOT]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen == nodes
+
+
 def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> SystemClass:
     """Classify a family; decide whether it is a symmetric system.
 
@@ -398,63 +516,34 @@ def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> Syst
     on all blocks then regluing e(j,+)~e(j,-) leaves a single connected
     holed-sphere piece.
     """
-    report = validate_laminar(manifold, family.blocks)
-    if not report.ok:
-        raise InvalidFamily(report.violations[0].message)
-    forest = Forest(manifold, family.blocks)
-    infos = []
-    for i, b in enumerate(family.blocks):
-        infos.append(
-            BlockInfo(b, is_separating(manifold, b), forest.census(i))
-        )
+    masks = family_masks(manifold, family.blocks)
+    covered = [0] * len(masks)
+    for i, p in enumerate(_nesting_parents(masks)):
+        if p != ROOT:
+            covered[p] |= masks[i]
+    separating = [_separates(manifold, m) for m in masks]
+    infos = tuple(
+        BlockInfo(b, sep, manifold.block_of(m & ~cov))
+        for b, m, sep, cov in zip(family.blocks, masks, separating, covered)
+    )
     k, ell = manifold.k, manifold.ell
-    symmetric = not report.duplicates and len(family.blocks) == k + ell
-    summand_blocks: list[tuple[int, frozenset]] = []
-    nonsep: list[frozenset] = []
-    if symmetric:
-        sep = [info.block for info in infos if info.separating]
-        expected = {frozenset({s_label(i)}): i for i in range(1, k + 1)}
-        if len(sep) != k or set(sep) != set(expected):
-            symmetric = False
-        else:
-            summand_blocks = sorted(
-                ((expected[b], b) for b in sep), key=lambda t: t[0]
-            )
-            nonsep = [info.block for info in infos if not info.separating]
+    singles = {manifold.label_bits[s_label(i)] for i in range(1, k + 1)}
+    sep = [m for m, s in zip(masks, separating) if s]
+    symmetric = (
+        len(set(masks)) == len(masks) == k + ell
+        and len(sep) == k
+        and set(sep) == singles
+    )
     if symmetric and ell:
-        # connectivity of the non-summand chambers under handle regluing
-        sblocks = {b for _, b in summand_blocks}
-        summand_idx = {
-            i for i, b in enumerate(family.blocks) if b in sblocks
-        }
-        nodes = {ROOT} | {
-            i for i in range(len(family.blocks)) if i not in summand_idx
-        }
-        adj: dict[int, set[int]] = {n: set() for n in nodes}
-        ok = True
-        for j in range(1, ell + 1):
-            a = forest.chamber_of_label(e_label(j, 1))
-            b = forest.chamber_of_label(e_label(j, -1))
-            if a not in nodes or b not in nodes or a == b:
-                ok = False
-                break
-            adj[a].add(b)
-            adj[b].add(a)
-        if ok:
-            seen = {ROOT}
-            stack = [ROOT]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            ok = seen == nodes
-        symmetric = ok
+        symmetric = _handles_connect(manifold, masks, singles)
+    if not symmetric:
+        return SystemClass(per_block=infos, is_symmetric=False)
+    nonsep = sorted((m for m, s in zip(masks, separating) if not s), key=mask_key)
     return SystemClass(
-        per_block=tuple(infos),
-        is_symmetric=symmetric,
-        summand_blocks=tuple(summand_blocks) if symmetric else (),
-        nonsep_blocks=tuple(sorted(nonsep, key=block_key)) if symmetric else (),
+        per_block=infos,
+        is_symmetric=True,
+        summand_blocks=tuple((i, frozenset({s_label(i)})) for i in range(1, k + 1)),
+        nonsep_blocks=tuple(map(manifold.block_of, nonsep)),
     )
 
 
@@ -515,6 +604,13 @@ def allowable(
     cls = classify_system(manifold, family)
     if not cls.is_symmetric:
         raise NotSymmetric("allowable assignments target symmetric systems only")
+    return _allowable(manifold, cls, assignment)
+
+
+def _allowable(
+    manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
+) -> bool:
+    """allowable() onto a family already classified as symmetric."""
     mapping = assignment.as_dict()
     expected_tokens = {("d", i) for i in range(1, manifold.k + 1)} | {
         ("d", j, s)
@@ -556,7 +652,12 @@ def summand_permutation(
 
     perm[i] = the summand whose one-holed piece the image of d(i) cuts off.
     """
-    cls = classify_system(manifold, family)
+    return _summand_permutation(manifold, classify_system(manifold, family), assignment)
+
+
+def _summand_permutation(
+    manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
+) -> dict[int, int]:
     summand_of_block = {b: i for i, b in cls.summand_blocks}
     perm = {}
     for i in range(1, manifold.k + 1):

@@ -37,10 +37,15 @@ class EductionImage:
 
 
 def identity_image(manifold: PrimeDecomposition) -> EductionImage:
-    return EductionImage(
-        tuple(range(1, manifold.k + 1)),
-        tuple(manifold.type_of(i).mcg.identity for i in range(1, manifold.k + 1)),
-    )
+    """The identity of H(V), built once per manifold and kept on it."""
+    image = manifold._identity_image
+    if image is None:
+        image = EductionImage(
+            tuple(range(1, manifold.k + 1)),
+            tuple(t.mcg.identity for t in manifold.summands),
+        )
+        object.__setattr__(manifold, "_identity_image", image)
+    return image
 
 
 def check_image(manifold: PrimeDecomposition, image: EductionImage) -> None:
@@ -76,10 +81,8 @@ def compose_images(
     return EductionImage(perm, tuple(tokens))
 
 
-def _letter_image(manifold: PrimeDecomposition, letter) -> EductionImage | None:
-    """Eduction of a single letter; None for rel-V letters."""
-    if w.is_discrepant_letter(letter):
-        return None
+def _letter_image(manifold: PrimeDecomposition, letter) -> EductionImage:
+    """Eduction of a single non-discrepant letter."""
     if isinstance(letter, w.Aut):
         image = identity_image(manifold)
         tokens = list(image.tokens)
@@ -98,9 +101,8 @@ def educe(word: w.Word) -> EductionImage:
     manifold = word.manifold
     acc = identity_image(manifold)
     for letter in word.letters:
-        img = _letter_image(manifold, letter)
-        if img is not None:
-            acc = compose_images(manifold, acc, img)
+        if not w.is_discrepant_letter(letter):
+            acc = compose_images(manifold, acc, _letter_image(manifold, letter))
     return acc
 
 

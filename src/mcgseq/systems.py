@@ -1,10 +1,19 @@
 """Action of words on laminar families and the slide normalization algorithm.
 
-Slides act through crossing parity: reading the slide path as a walk
-through the chambers of the laminar forest (with a teleport between the
-two ends of a handle for each x_j letter), the slid label toggles its
-membership exactly in the blocks crossed an odd number of times.  The
-other letters relabel: spins swap e(j,+) and e(j,-) everywhere, handle and
+A label is a bit and a block an ``int`` mask (see ``model``).  Slides act
+through crossing parity: read the slide path as a closed walk through the
+chambers of the laminar forest, with a teleport between the two ends of a
+handle for each x_j letter; the slid labels toggle their membership in
+exactly the blocks the walk crosses an odd number of times.  The walk is
+closed, so it crosses block b an odd number of times iff its teleports
+change sides of b an odd number of times: a ``g`` letter goes to a summand
+chamber and back, and an x_j teleport changes sides of b iff b holds
+exactly one end of handle j.  Hence b toggles iff ``popcount(b & P)`` is
+odd, where P is the union of the end pairs {e(j,+), e(j,-)} of the handles
+whose x_j letters occur an odd number of times in the path: one AND, one
+popcount and at most one XOR per block, with no forest and no walk.
+``walk_of_slide`` keeps the geometric reading as public API.  The other
+letters relabel: spins swap e(j,+) and e(j,-) everywhere, handle and
 summand interchanges swap label pairs, twists do nothing.
 
 ``normalize_system`` inverts this action: a breadth-first search over the
@@ -21,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
-    InvalidFamily,
     InvalidWord,
     NotAllowable,
     NotLaminarAfterSlide,
@@ -35,13 +43,15 @@ from .model import (
     LaminarFamily,
     PrimeDecomposition,
     ROOT,
-    allowable,
+    _allowable,
+    _summand_permutation,
     block_text,
     classify_system,
     e_label,
+    family_masks,
+    is_laminar,
     label_text,
     s_label,
-    summand_permutation,
     validate_laminar,
 )
 
@@ -104,18 +114,70 @@ def walk_of_slide(
     return ChamberWalk(tuple(visited), tuple(sorted(counts.items())))
 
 
-def _slid_labels(letter) -> tuple:
-    if isinstance(letter, w.SlideIrr):
-        return (s_label(letter.summand),)
-    if isinstance(letter, w.SlideEnd):
-        return (e_label(letter.handle, letter.sign),)
-    if isinstance(letter, w.SlideHandle):
-        return (e_label(letter.handle, 1), e_label(letter.handle, -1))
-    raise InvalidWord(f"{letter!r} is not a slide letter")
+# ---------------------------------------------------------------------------
+# letters on block masks
 
 
-def _relabel_block(block: frozenset, mapping: dict) -> frozenset:
-    return frozenset(mapping.get(lab, lab) for lab in block)
+def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
+    """A letter's action on block masks as ``(slid, parity, swaps)``.
+
+    A slide toggles ``slid`` in each block b with ``popcount(b & parity)``
+    odd and has no swaps; spins and interchanges swap the bit pairs in
+    ``swaps``; twists and auts are ``(0, 0, ())``.
+    """
+    bits, pairs = manifold.label_bits, manifold.handle_masks
+    if isinstance(letter, (w.SlideIrr, w.SlideEnd, w.SlideHandle)):
+        if isinstance(letter, w.SlideIrr):
+            slid = bits[s_label(letter.summand)]
+        elif isinstance(letter, w.SlideEnd):
+            slid = bits[e_label(letter.handle, letter.sign)]
+        else:
+            slid = pairs[letter.handle - 1]
+        parity = 0
+        for lt in letter.path:
+            if lt[0] == "x":
+                parity ^= pairs[lt[1] - 1]
+        return slid, parity, ()
+    if isinstance(letter, (w.Twist, w.Aut)):
+        return 0, 0, ()
+    if isinstance(letter, w.Spin):
+        j = letter.handle
+        return 0, 0, ((bits[e_label(j, 1)], bits[e_label(j, -1)]),)
+    if isinstance(letter, w.SwapHandles):
+        return 0, 0, tuple(
+            (bits[e_label(letter.a, s)], bits[e_label(letter.b, s)]) for s in (1, -1)
+        )
+    if isinstance(letter, w.SwapIrr):
+        return 0, 0, ((bits[s_label(letter.a)], bits[s_label(letter.b)]),)
+    raise InvalidWord(f"unknown generator letter {letter!r}")
+
+
+def _swap_bits(mask: int, swaps) -> int:
+    for a, b in swaps:
+        if bool(mask & a) != bool(mask & b):
+            mask ^= a | b
+    return mask
+
+
+def _apply(compiled: tuple, masks: tuple) -> tuple:
+    """Block masks after a compiled letter, in order; only a slide
+    (``compiled[0]`` nonzero) can break laminarity."""
+    slid, parity, swaps = compiled
+    if swaps:
+        return tuple([_swap_bits(m, swaps) for m in masks])
+    return tuple([m ^ slid if (m & parity).bit_count() & 1 else m for m in masks])
+
+
+def _act_masks(manifold: PrimeDecomposition, letter, masks: tuple) -> tuple:
+    """Apply one letter to a tuple of block masks, in order."""
+    compiled = _compile_letter(manifold, letter)
+    out = _apply(compiled, masks)
+    if compiled[0] and not is_laminar(out, manifold.full_mask):
+        report = validate_laminar(manifold, map(manifold.block_of, out))
+        raise NotLaminarAfterSlide(
+            f"slide {letter!r} breaks laminarity: " + report.violations[0].message
+        )
+    return out
 
 
 def act_letter_blocks(
@@ -124,47 +186,8 @@ def act_letter_blocks(
     """Apply one generator letter to an ordered block tuple."""
     if isinstance(letter, (w.Twist, w.Aut)):
         return blocks
-    if isinstance(letter, w.Spin):
-        j = letter.handle
-        mapping = {e_label(j, 1): e_label(j, -1), e_label(j, -1): e_label(j, 1)}
-        return tuple(_relabel_block(b, mapping) for b in blocks)
-    if isinstance(letter, w.SwapHandles):
-        mapping = {}
-        for s in (1, -1):
-            mapping[e_label(letter.a, s)] = e_label(letter.b, s)
-            mapping[e_label(letter.b, s)] = e_label(letter.a, s)
-        return tuple(_relabel_block(b, mapping) for b in blocks)
-    if isinstance(letter, w.SwapIrr):
-        mapping = {
-            s_label(letter.a): s_label(letter.b),
-            s_label(letter.b): s_label(letter.a),
-        }
-        return tuple(_relabel_block(b, mapping) for b in blocks)
-    if isinstance(letter, (w.SlideIrr, w.SlideEnd, w.SlideHandle)):
-        walk = walk_of_slide(manifold, blocks, letter)
-        odd = walk.odd_blocks()
-        slid = _slid_labels(letter)
-        new_blocks = []
-        for idx, b in enumerate(blocks):
-            if idx in odd:
-                nb = set(b)
-                for lab in slid:
-                    if lab in nb:
-                        nb.discard(lab)
-                    else:
-                        nb.add(lab)
-                new_blocks.append(frozenset(nb))
-            else:
-                new_blocks.append(b)
-        result = tuple(new_blocks)
-        report = validate_laminar(manifold, result)
-        if not report.ok:
-            raise NotLaminarAfterSlide(
-                f"slide {letter!r} breaks laminarity: "
-                + report.violations[0].message
-            )
-        return result
-    raise InvalidWord(f"unknown generator letter {letter!r}")
+    masks = _act_masks(manifold, letter, tuple(map(manifold.mask_of, blocks)))
+    return tuple(map(manifold.block_of, masks))
 
 
 def act_system(
@@ -173,13 +196,10 @@ def act_system(
     """Fold the word's letters left-to-right over the family."""
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
-    report = validate_laminar(manifold, family.blocks)
-    if not report.ok:
-        raise InvalidFamily(report.violations[0].message)
-    blocks = family.blocks
+    masks = family_masks(manifold, family.blocks)
     for letter in word.letters:
-        blocks = act_letter_blocks(manifold, letter, blocks)
-    return LaminarFamily.of(blocks)
+        masks = _act_masks(manifold, letter, masks)
+    return LaminarFamily.of(map(manifold.block_of, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +212,21 @@ def act_system(
 # only through the relabeling of slot contents.
 
 
-def _standard_slots(manifold: PrimeDecomposition) -> tuple[frozenset, ...]:
-    slots = [frozenset({s_label(i)}) for i in range(1, manifold.k + 1)]
-    slots += [
-        frozenset({e_label(j, 1)}) for j in range(1, manifold.ell + 1)
-    ]
+def _standard_slots(manifold: PrimeDecomposition) -> tuple[int, ...]:
+    bits = manifold.label_bits
+    slots = [bits[s_label(i)] for i in range(1, manifold.k + 1)]
+    slots += [bits[e_label(j, 1)] for j in range(1, manifold.ell + 1)]
     return tuple(slots)
 
 
 def _fold_state(manifold: PrimeDecomposition, letters):
-    """Fold letters over (slot tuple, spin bits); bits[j-1] flips on spin(j)."""
+    """Fold letters over (slot masks, spin bits); bits[j-1] flips on spin(j)."""
     slots = _standard_slots(manifold)
     bits = [False] * manifold.ell
     for letter in letters:
         if isinstance(letter, w.Spin):
             bits[letter.handle - 1] = not bits[letter.handle - 1]
-        slots = act_letter_blocks(manifold, letter, slots)
+        slots = _act_masks(manifold, letter, slots)
     return slots, tuple(bits)
 
 
@@ -230,9 +249,9 @@ def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
     """The duplicate correspondence induced by a word on the standard system."""
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
-    slots, bits = _fold_state(manifold, word.letters)
-    final = LaminarFamily.of(slots)
-    if not classify_system(manifold, final).is_symmetric:
+    masks, bits = _fold_state(manifold, word.letters)
+    slots = tuple(map(manifold.block_of, masks))
+    if not classify_system(manifold, LaminarFamily.of(slots)).is_symmetric:
         raise NotSymmetric(
             "word does not carry the standard system to a symmetric system"
         )
@@ -274,32 +293,43 @@ def _bfs_moves(manifold: PrimeDecomposition) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _reachability(manifold: PrimeDecomposition) -> dict:
-    """BFS the full (slots, bits) state space from the standard state.
+    """BFS the full (slot masks, spin bits) state space from the standard state.
 
     Returns state -> (parent state, move letter); the start state maps to
     (None, None).  Moves are tried in canonical text order, so the implied
     word for every state is the lexicographically least among the shortest.
     """
-    moves = _bfs_moves(manifold)
+    full = manifold.full_mask
+    moves = []
+    for mv in _bfs_moves(manifold):
+        spin = mv.handle - 1 if isinstance(mv, w.Spin) else -1
+        moves.append((mv, _compile_letter(manifold, mv), spin))
     start = (_standard_slots(manifold), (False,) * manifold.ell)
     seen: dict = {start: (None, None)}
     queue = deque([start])
+    edges = rejected = 0
     while queue:
-        slots, bits = queue.popleft()
-        for mv in moves:
-            nbits = list(bits)
-            if isinstance(mv, w.Spin):
-                nbits[mv.handle - 1] = not nbits[mv.handle - 1]
-            try:
-                nslots = act_letter_blocks(manifold, mv, slots)
-            except NotLaminarAfterSlide:
+        state = queue.popleft()
+        slots, bits = state
+        for mv, compiled, spin in moves:
+            nslots = _apply(compiled, slots)
+            if compiled[0] and not is_laminar(nslots, full):
+                rejected += 1
                 continue
-            nstate = (nslots, tuple(nbits))
+            edges += 1
+            nbits = bits
+            if spin >= 0:
+                nbits = bits[:spin] + (not bits[spin],) + bits[spin + 1 :]
+            nstate = (nslots, nbits)
             if nstate not in seen:
-                seen[nstate] = ((slots, bits), mv)
+                seen[nstate] = (state, mv)
                 queue.append(nstate)
     log.info(
-        "reachability index: %d states from the standard system", len(seen)
+        "reachability index: %d states, %d edges, %d slides rejected as not "
+        "laminar, from the standard system",
+        len(seen),
+        edges,
+        rejected,
     )
     return seen
 
@@ -311,12 +341,11 @@ def _target_state(manifold: PrimeDecomposition, assignment: Assignment):
     keeps the summand slots at their standard singletons (discrepant moves
     never change them), so the lookup uses those.
     """
-    k = manifold.k
-    slots = [frozenset({s_label(i)}) for i in range(1, k + 1)]
+    slots = list(_standard_slots(manifold)[: manifold.k])
     bits = []
     for j in range(1, manifold.ell + 1):
         block, side = assignment.target_of(("d", j, 1))
-        slots.append(block)
+        slots.append(manifold.mask_of(block))
         bits.append(side == "out")
     return (tuple(slots), tuple(bits))
 
@@ -330,9 +359,9 @@ def normalize_system(
     cls = classify_system(manifold, family)
     if not cls.is_symmetric:
         raise NotSymmetric("normalization target must be a symmetric system")
-    if not allowable(manifold, family, assignment):
+    if not _allowable(manifold, cls, assignment):
         raise NotAllowable("assignment is not allowable onto the target family")
-    perm = summand_permutation(manifold, family, assignment)
+    perm = _summand_permutation(manifold, cls, assignment)
     from .sequence import perm_transpositions
 
     prefix = [w.SwapIrr(a, b) for a, b in perm_transpositions(perm)]

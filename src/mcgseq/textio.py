@@ -18,7 +18,6 @@ from .model import (
     PrimeDecomposition,
     block_text,
     e_label,
-    label_key,
     label_text,
     s_label,
 )

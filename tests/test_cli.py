@@ -223,6 +223,29 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_negative_max_len_is_config_error(self):
+        code, out = run_cli(
+            "verify",
+            "--suite",
+            "spotted",
+            "--manifold",
+            fx("spotted.txt"),
+            "--max-len",
+            "-1",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "parse"
+        assert "--max-len" in json.loads(out)["error"]["message"]
+
+    def test_spotted_suite_needs_marking(self):
+        code, out = run_cli("verify", "--suite", "spotted")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "parse",
+            "message": "verify --suite spotted needs --manifold "
+            "(a spotted marking file)",
+        }
+
 
 class TestVerifyCommand:
     def test_relations_suite(self):

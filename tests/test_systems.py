@@ -1,8 +1,10 @@
+import itertools
 import random
+from collections import deque
 
 import pytest
 
-from mcgseq import sequence, systems, words as w
+from mcgseq import build_manifold, fpgroup, sequence, systems, words as w
 from mcgseq.errors import (
     InvalidFamily,
     NotAllowable,
@@ -172,6 +174,167 @@ class TestChamberWalk:
         letter = parse_word(mstar, "slideIrr(1; x1)").letters[0]
         walk = walk_of_slide(mstar, family.blocks, letter)
         assert walk.chambers[0] == walk.chambers[-1]
+
+
+SLIDES = (w.SlideIrr, w.SlideEnd, w.SlideHandle)
+
+
+def _ladder(k, ell):
+    lines = ["type A pi1=Z/2 mcg=table[1,tau;1,tau|tau,1] act=tau:g1"]
+    lines += [f"summand {i} A" for i in range(1, k + 1)]
+    return build_manifold("\n".join(lines + [f"handles {ell}"]) + "\n")
+
+
+def _reference_laminar(blocks):
+    return all(blocks) and all(
+        not (a & b) or a <= b or b <= a for a, b in itertools.combinations(blocks, 2)
+    )
+
+
+def _reference_act(manifold, letter, blocks):
+    """One letter on a frozenset block tuple, slides by walk_of_slide
+    parity; None when the slide breaks laminarity."""
+    if isinstance(letter, SLIDES):
+        if isinstance(letter, w.SlideIrr):
+            slid = {s_label(letter.summand)}
+        elif isinstance(letter, w.SlideEnd):
+            slid = {e_label(letter.handle, letter.sign)}
+        else:
+            slid = {e_label(letter.handle, 1), e_label(letter.handle, -1)}
+        odd = walk_of_slide(manifold, blocks, letter).odd_blocks()
+        out = tuple(b ^ slid if i in odd else b for i, b in enumerate(blocks))
+        return out if _reference_laminar(out) else None
+    if isinstance(letter, w.Spin):
+        pairs = [(e_label(letter.handle, 1), e_label(letter.handle, -1))]
+    elif isinstance(letter, w.SwapHandles):
+        pairs = [(e_label(letter.a, s), e_label(letter.b, s)) for s in (1, -1)]
+    elif isinstance(letter, w.SwapIrr):
+        pairs = [(s_label(letter.a), s_label(letter.b))]
+    else:
+        return blocks
+    swap = {}
+    for a, b in pairs:
+        swap[a], swap[b] = b, a
+    return tuple(frozenset(swap.get(lab, lab) for lab in b) for b in blocks)
+
+
+def _reference_reachability(manifold):
+    """Frozenset BFS over the same moves in the same order."""
+    start = (
+        tuple(frozenset({s_label(i)}) for i in range(1, manifold.k + 1))
+        + tuple(frozenset({e_label(j, 1)}) for j in range(1, manifold.ell + 1)),
+        (False,) * manifold.ell,
+    )
+    seen = {start: (None, None)}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        slots, bits = state
+        for mv in systems._bfs_moves(manifold):
+            nslots = _reference_act(manifold, mv, slots)
+            if nslots is None:
+                continue
+            nbits = list(bits)
+            if isinstance(mv, w.Spin):
+                nbits[mv.handle - 1] = not nbits[mv.handle - 1]
+            nstate = (nslots, tuple(nbits))
+            if nstate not in seen:
+                seen[nstate] = (state, mv)
+                queue.append(nstate)
+    return seen
+
+
+def _random_laminar_blocks(manifold, rng):
+    """A random laminar block tuple, in random order, often with parallel copies."""
+    labels = manifold.labels()
+    blocks = []
+    for _ in range(rng.randint(1, 7)):
+        if blocks and rng.random() < 0.25:
+            blocks.append(rng.choice(blocks))
+            continue
+        b = frozenset(rng.sample(labels, rng.randint(1, len(labels) - 1)))
+        if _reference_laminar(blocks + [b]):
+            blocks.append(b)
+    rng.shuffle(blocks)
+    return tuple(blocks)
+
+
+def _random_path(manifold, rng, avoid):
+    letters = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.3 and manifold.k:
+            i = rng.randint(1, manifold.k)
+            _, elem = rng.choice(manifold.type_of(i).pi1.generators())
+            letters.append(("g", i, elem))
+        else:
+            j = rng.randint(1, manifold.ell)
+            letters.append(("x", j, rng.choice((1, -1))))
+    letters = [lt for lt in letters if lt[:2] != avoid]
+    return fpgroup.fp_reduce(manifold, tuple(letters))
+
+
+def _random_move(manifold, rng):
+    kind = rng.choice(["irr", "end", "handle", "spin", "swapHandles", "swapIrr"])
+    i = rng.randint(1, manifold.k)
+    j = rng.randint(1, manifold.ell)
+    if kind == "irr":
+        return w.SlideIrr(i, _random_path(manifold, rng, ("g", i)))
+    if kind == "end":
+        return w.SlideEnd(j, rng.choice((1, -1)), _random_path(manifold, rng, ("x", j)))
+    if kind == "handle":
+        return w.SlideHandle(j, _random_path(manifold, rng, ("x", j)))
+    if kind == "spin":
+        return w.Spin(j)
+    if kind == "swapHandles":
+        return w.SwapHandles(1, 2)
+    return w.SwapIrr(1, 2)
+
+
+class TestBitsetCore:
+    """The mask action and BFS against frozenset references built on
+    walk_of_slide."""
+
+    def test_bfs_matches_reference(self):
+        manifold = _ladder(1, 2)
+        index = systems._reachability(manifold)
+
+        def blocks(state):
+            if state is None:
+                return None
+            masks, bits = state
+            return (tuple(map(manifold.block_of, masks)), bits)
+
+        converted = [(blocks(s), (blocks(p), mv)) for s, (p, mv) in index.items()]
+        assert converted == list(_reference_reachability(manifold).items())
+
+    @pytest.mark.parametrize("k, states", [(1, 864), (2, 2592), (3, 7776)])
+    def test_state_counts(self, k, states):
+        assert len(systems._reachability(_ladder(k, 2))) == states
+
+    def test_letter_fold_matches_walk_parity(self, mstar):
+        rng = random.Random(67)
+        agreed = rejected = slides = 0
+        for _ in range(1500):
+            blocks = _random_laminar_blocks(mstar, rng)
+            word = [_random_move(mstar, rng) for _ in range(rng.randint(1, 4))]
+            slides += sum(isinstance(lt, SLIDES) for lt in word)
+            expected = blocks
+            for letter in word:
+                expected = _reference_act(mstar, letter, expected)
+                if expected is None:
+                    break
+            got = blocks
+            try:
+                for letter in word:
+                    got = systems.act_letter_blocks(mstar, letter, got)
+            except NotLaminarAfterSlide:
+                got = None
+            assert got == expected, (blocks, word)
+            if got is None:
+                rejected += 1
+            else:
+                agreed += 1
+        assert agreed > 500 and rejected > 100 and slides > 1500
 
 
 class TestTrace:
