@@ -52,6 +52,8 @@ class RunConfig:
             raise ParseError(f"unknown format {self.format!r}")
         if self.max_len is not None and self.max_len < 0:
             raise ParseError(f"--max-len must be >= 0, got {self.max_len}")
+        if self.case_limit is not None and self.case_limit < 1:
+            raise ParseError(f"--case-limit must be >= 1, got {self.case_limit}")
         if (
             self.max_len is not None
             and self.max_len > MAX_LEN_GUARD
@@ -334,9 +336,11 @@ def cmd_verify(args):
         if args.suite == "exactness":
             report = suite(manifold, max_len=max_len, mixed_len=min(max_len, 3))
         elif args.suite == "pi1":
-            report = suite(manifold, seed=args.seed, pairs=args.case_limit or 300)
+            pairs = 300 if args.case_limit is None else args.case_limit
+            report = suite(manifold, seed=args.seed, pairs=pairs)
         elif args.suite == "roundtrip":
-            report = suite(manifold, seed=args.seed, cases=args.case_limit or 200)
+            cases = 200 if args.case_limit is None else args.case_limit
+            report = suite(manifold, seed=args.seed, cases=cases)
         else:
             report = suite(manifold)
     _emit_json(args, report)

@@ -80,11 +80,6 @@ def fp_inv(manifold: PrimeDecomposition, u: FPWord) -> FPWord:
     return fp_reduce(manifold, out)
 
 
-def fp_conjugate(manifold: PrimeDecomposition, u: FPWord, by: FPWord) -> FPWord:
-    """by^-1 * u * by."""
-    return fp_reduce(manifold, list(fp_inv(manifold, by)) + list(u) + list(by))
-
-
 def generator_words(manifold: PrimeDecomposition) -> list[tuple[tuple, FPWord]]:
     """The pi1 generating set as (table key, one-letter word) pairs.
 

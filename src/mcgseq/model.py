@@ -507,8 +507,9 @@ def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool
     return seen == nodes
 
 
-def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> SystemClass:
-    """Classify a family; decide whether it is a symmetric system.
+def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
+    """Whether the masks of a laminar family, in any order, are a symmetric
+    system.
 
     Symmetric means: k+l blocks with no parallel pair; the separating blocks
     are exactly the singletons {s(i)}, one per summand (those cut off the
@@ -516,6 +517,22 @@ def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> Syst
     on all blocks then regluing e(j,+)~e(j,-) leaves a single connected
     holed-sphere piece.
     """
+    k, ell = manifold.k, manifold.ell
+    distinct = set(masks)
+    if not len(distinct) == len(masks) == k + ell:
+        return False
+    singles = {manifold.label_bits[s_label(i)] for i in range(1, k + 1)}
+    # the singletons separate; no other block may
+    if not singles <= distinct or any(
+        _separates(manifold, m) for m in distinct - singles
+    ):
+        return False
+    return not ell or _handles_connect(manifold, masks, singles)
+
+
+def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> SystemClass:
+    """Classify a family; decide whether it is a symmetric system
+    (see ``_is_symmetric``)."""
     masks = family_masks(manifold, family.blocks)
     covered = [0] * len(masks)
     for i, p in enumerate(_nesting_parents(masks)):
@@ -526,23 +543,15 @@ def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> Syst
         BlockInfo(b, sep, manifold.block_of(m & ~cov))
         for b, m, sep, cov in zip(family.blocks, masks, separating, covered)
     )
-    k, ell = manifold.k, manifold.ell
-    singles = {manifold.label_bits[s_label(i)] for i in range(1, k + 1)}
-    sep = [m for m, s in zip(masks, separating) if s]
-    symmetric = (
-        len(set(masks)) == len(masks) == k + ell
-        and len(sep) == k
-        and set(sep) == singles
-    )
-    if symmetric and ell:
-        symmetric = _handles_connect(manifold, masks, singles)
-    if not symmetric:
+    if not _is_symmetric(manifold, masks):
         return SystemClass(per_block=infos, is_symmetric=False)
     nonsep = sorted((m for m, s in zip(masks, separating) if not s), key=mask_key)
     return SystemClass(
         per_block=infos,
         is_symmetric=True,
-        summand_blocks=tuple((i, frozenset({s_label(i)})) for i in range(1, k + 1)),
+        summand_blocks=tuple(
+            (i, frozenset({s_label(i)})) for i in range(1, manifold.k + 1)
+        ),
         nonsep_blocks=tuple(map(manifold.block_of, nonsep)),
     )
 

@@ -44,6 +44,7 @@ from .model import (
     PrimeDecomposition,
     ROOT,
     _allowable,
+    _is_symmetric,
     _summand_permutation,
     block_text,
     classify_system,
@@ -250,12 +251,11 @@ def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
     masks, bits = _fold_state(manifold, word.letters)
-    slots = tuple(map(manifold.block_of, masks))
-    if not classify_system(manifold, LaminarFamily.of(slots)).is_symmetric:
+    if not _is_symmetric(manifold, masks):
         raise NotSymmetric(
             "word does not carry the standard system to a symmetric system"
         )
-    return _readout(manifold, slots, bits)
+    return _readout(manifold, tuple(map(manifold.block_of, masks)), bits)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import random
 
 from . import fpgroup, sequence, systems, textio
@@ -17,6 +18,7 @@ from .errors import NotDiscrepant, NotLaminarAfterSlide
 from .model import (
     LaminarFamily,
     PrimeDecomposition,
+    _is_symmetric,
     classify_system,
     e_label,
     s_label,
@@ -24,6 +26,8 @@ from .model import (
 )
 from .oracles import wreath_elements
 from .sequence import EductionImage, SpottedMarking
+
+log = logging.getLogger("mcgseq.verify")
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +168,61 @@ def random_word(manifold, rng, max_len=6, mixed=True) -> w.Word:
 def enumerate_symmetric(manifold: PrimeDecomposition):
     """All symmetric laminar families over the manifold's labels.
 
-    A symmetric system has exactly k+l blocks (classifier condition), so
-    enumerating the (k+l)-subsets of pairwise-compatible blocks covers all
-    laminar families that could classify symmetric; the classifier filters.
-    Returns (families, number of laminar candidates examined).
+    A symmetric system has exactly k+l blocks, so the candidates are the
+    laminar (k+l)-sets of blocks.  Blocks are the 2^|L|-2 proper nonempty
+    subsets of L as masks, in ``block_key`` order (``combinations`` of the
+    labels by size).  Each block i carries the bitset of the later blocks
+    nested with it or disjoint from it; a depth-first search extends
+    index-increasing tuples by the blocks compatible with every block so
+    far (the AND of their bitsets), so it yields exactly the laminar
+    (k+l)-sets, once each, in the order of ``combinations`` of the blocks.
+    Each is tested on its masks and only the symmetric ones are built and
+    classified.  The search never consults the BFS of ``systems``, which
+    the normalization suite audits against it.
+
+    Returns (tuple of (family, class) pairs, number of laminar candidates).
     """
     labels = manifold.labels()
-    blocks = []
-    for r in range(1, len(labels)):
-        for combo in itertools.combinations(labels, r):
-            blocks.append(frozenset(combo))
-    n = len(blocks)
-
-    def compat(a, b):
-        return a <= b or b <= a or not (a & b)
-
+    # one frozenset per block, shared by every family that holds it
+    block_of = {
+        manifold.mask_of(combo): frozenset(combo)
+        for r in range(1, len(labels))
+        for combo in itertools.combinations(labels, r)
+    }
+    blocks = list(block_of)
+    compatible = []
+    for i, a in enumerate(blocks):
+        later = 0
+        for j in range(i + 1, len(blocks)):
+            if a & blocks[j] in (0, a, blocks[j]):
+                later |= 1 << j
+        compatible.append(later)
     size = manifold.k + manifold.ell
     laminar_count = 0
     out = []
-    for combo in itertools.combinations(range(n), size):
-        if all(compat(blocks[a], blocks[b]) for a, b in itertools.combinations(combo, 2)):
+
+    def extend(chosen: tuple, candidates: int) -> None:
+        nonlocal laminar_count
+        if len(chosen) == size:
             laminar_count += 1
-            fam = LaminarFamily.of([blocks[i] for i in combo])
-            cls = classify_system(manifold, fam)
-            if cls.is_symmetric:
-                out.append((fam, cls))
+            if _is_symmetric(manifold, chosen):
+                fam = LaminarFamily.of(map(block_of.__getitem__, chosen))
+                out.append((fam, classify_system(manifold, fam)))
+            return
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            extend(chosen + (blocks[i],), candidates & compatible[i])
+
+    extend((), (1 << len(blocks)) - 1)
+    log.info(
+        "symmetric enumeration: %d laminar candidates with %d blocks, "
+        "%d symmetric families",
+        laminar_count,
+        size,
+        len(out),
+    )
     return tuple(out), laminar_count
 
 

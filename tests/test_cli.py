@@ -237,6 +237,24 @@ class TestErrors:
         assert json.loads(out)["error"]["kind"] == "parse"
         assert "--max-len" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("suite", ["pi1", "roundtrip"])
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_case_limit_below_one_is_config_error(self, suite, limit):
+        code, out = run_cli(
+            "verify",
+            "--suite",
+            suite,
+            "--manifold",
+            fx("mstar.txt"),
+            "--case-limit",
+            limit,
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "parse",
+            "message": f"--case-limit must be >= 1, got {limit}",
+        }
+
     def test_spotted_suite_needs_marking(self):
         code, out = run_cli("verify", "--suite", "spotted")
         assert code == 2

@@ -1,10 +1,15 @@
 import itertools
+import logging
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
-from mcgseq import build_manifold, fpgroup, sequence, systems, words as w
+from mcgseq import build_manifold, fpgroup, model, sequence, systems, words as w
 from mcgseq.errors import (
     InvalidFamily,
     NotAllowable,
@@ -335,6 +340,101 @@ class TestBitsetCore:
             else:
                 agreed += 1
         assert agreed > 500 and rejected > 100 and slides > 1500
+
+
+def _reference_enumerate_symmetric(manifold):
+    """Every (k+l)-combination of blocks, filtered pairwise on frozensets and
+    classified in full: the exhaustive census the backtracking search must
+    reproduce, order included."""
+    labels = manifold.labels()
+    blocks = [
+        frozenset(combo)
+        for r in range(1, len(labels))
+        for combo in itertools.combinations(labels, r)
+    ]
+
+    def compat(a, b):
+        return a <= b or b <= a or not (a & b)
+
+    laminar_count = 0
+    out = []
+    for combo in itertools.combinations(blocks, manifold.k + manifold.ell):
+        if all(compat(a, b) for a, b in itertools.combinations(combo, 2)):
+            laminar_count += 1
+            family = LaminarFamily.of(combo)
+            cls = classify_system(manifold, family)
+            if cls.is_symmetric:
+                out.append((family, cls))
+    return tuple(out), laminar_count
+
+
+ROOT_DIR = Path(__file__).resolve().parent.parent
+
+
+class TestEnumerateSymmetric:
+    @pytest.mark.parametrize(
+        "name, laminar, symmetric",
+        [
+            ("mstar", 16990, 324),
+            ("k2l1", 124, 8),
+            ("mixed_types", 1830, 16),
+            ("handles 3", 5060, 2048),
+        ],
+    )
+    def test_matches_exhaustive_reference(self, request, name, laminar, symmetric):
+        if name.startswith("handles"):
+            manifold = build_manifold(name + "\n")
+        else:
+            manifold = request.getfixturevalue(name)
+        families, count = enumerate_symmetric(manifold)
+        assert (count, len(families)) == (laminar, symmetric)
+        assert (families, count) == _reference_enumerate_symmetric(manifold)
+
+    def test_mask_decision_ignores_block_order(self, mstar):
+        """trace_assignment decides on its slot masks, unsorted and possibly
+        parallel; the decision must be classify_system's."""
+        rng = random.Random(71)
+        cases = [family.blocks for family, _ in enumerate_symmetric(mstar)[0]]
+        cases += [_random_laminar_blocks(mstar, rng) for _ in range(2000)]
+        for blocks in cases:
+            masks = [mstar.mask_of(b) for b in blocks]
+            rng.shuffle(masks)
+            expected = classify_system(mstar, LaminarFamily.of(blocks)).is_symmetric
+            assert model._is_symmetric(mstar, tuple(masks)) == expected, blocks
+
+    def test_logs_counts(self, k2l1, caplog):
+        with caplog.at_level(logging.INFO, logger="mcgseq.verify"):
+            enumerate_symmetric.__wrapped__(k2l1)
+        assert "124 laminar candidates with 3 blocks, 8 symmetric families" in (
+            caplog.text
+        )
+
+    def test_census_script(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT_DIR / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(ROOT_DIR / "scripts" / "enumerate_symmetric.py"),
+                "--manifold",
+                str(ROOT_DIR / "fixtures" / "mstar.txt"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "laminar candidates with 4 blocks: 16990" in lines
+        assert any(ln.startswith("symmetric systems: 324 ") for ln in lines)
+        assert any(
+            ln.startswith("BFS states reachable from the standard system: 2592 ")
+            for ln in lines
+        )
+        assert any(ln.startswith("allowable assignments: 5184 total ") for ln in lines)
 
 
 class TestTrace:
