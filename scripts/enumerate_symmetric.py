@@ -13,8 +13,8 @@ import sys
 import time
 from pathlib import Path
 
-from mcgseq import normalize_system, textio
-from mcgseq.systems import _reachability
+from mcgseq import textio
+from mcgseq.systems import _normalize, _reachability
 from mcgseq.verify import allowable_assignments, enumerate_symmetric
 
 DEFAULT_MANIFOLD = Path(__file__).resolve().parent.parent / "fixtures" / "mstar.txt"
@@ -59,9 +59,9 @@ def main() -> int:
     if args.lengths:
         t0 = time.time()
         lengths = collections.Counter()
-        for fam, cls in symmetric:
+        for _fam, cls in symmetric:
             for assignment in allowable_assignments(manifold, cls):
-                word = normalize_system(manifold, fam, assignment)
+                word = _normalize(manifold, cls, assignment)
                 lengths[len(word)] += 1
         print(f"certificate lengths ({time.time() - t0:.1f}s):")
         for length in sorted(lengths):

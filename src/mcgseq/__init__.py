@@ -56,7 +56,6 @@ from .fpgroup import (
     fp_inv,
     fp_mul,
     fp_reduce,
-    fp_word,
 )
 from .words import (
     Aut,

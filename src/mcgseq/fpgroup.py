@@ -60,10 +60,6 @@ def fp_reduce(manifold: PrimeDecomposition, letters) -> FPWord:
     return tuple(out)
 
 
-def fp_word(manifold: PrimeDecomposition, letters) -> FPWord:
-    return fp_reduce(manifold, letters)
-
-
 def fp_mul(manifold: PrimeDecomposition, u: FPWord, v: FPWord) -> FPWord:
     return fp_reduce(manifold, list(u) + list(v))
 

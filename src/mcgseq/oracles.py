@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import OracleError, ParseError
 
@@ -76,12 +76,6 @@ class GroupOracle:
             if n == name:
                 return e
         raise OracleError(f"unknown generator {name!r} of {self.spec_text()}")
-
-    def mul_all(self, elems: Iterable):
-        out = self.identity
-        for e in elems:
-            out = self.mul(out, e)
-        return out
 
     def power(self, a, n: int):
         if n < 0:

@@ -162,23 +162,14 @@ def factor_discrepant(word: w.Word) -> w.Word:
     """
     if not is_discrepant(word):
         raise NotDiscrepant("word does not educe to the identity")
-    normal = w.normalize_word(word)
-    split = next(
-        (
-            i
-            for i, lt in enumerate(normal.letters)
-            if isinstance(lt, (w.Aut, w.SwapIrr))
-        ),
-        len(normal.letters),
-    )
-    head, tail = normal.letters[:split], normal.letters[split:]
-    tail_word = w.Word(word.manifold, tail)
-    if educe(tail_word) != identity_image(word.manifold):
+    manifold = word.manifold
+    head, auts, swaps = w._segments(word)
+    if educe(w.Word(manifold, tuple(auts + swaps))) != identity_image(manifold):
         raise OracleError(
             "normalize_word produced a non-trivial trailing segment for a "
             "kernel word"
         )
-    return w.Word(word.manifold, head)
+    return w.Word(manifold, tuple(head))
 
 
 # ---------------------------------------------------------------------------

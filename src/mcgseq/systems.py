@@ -43,6 +43,7 @@ from .model import (
     LaminarFamily,
     PrimeDecomposition,
     ROOT,
+    SystemClass,
     _allowable,
     _is_symmetric,
     _summand_permutation,
@@ -356,7 +357,13 @@ def normalize_system(
     """A word of slides/spins/handle swaps (plus a swapIrr prefix when the
     assignment permutes summands) carrying the standard system onto the
     family with the given duplicate correspondence."""
-    cls = classify_system(manifold, family)
+    return _normalize(manifold, classify_system(manifold, family), assignment)
+
+
+def _normalize(
+    manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
+) -> w.Word:
+    """``normalize_system`` onto a family already classified as ``cls``."""
     if not cls.is_symmetric:
         raise NotSymmetric("normalization target must be a symmetric system")
     if not _allowable(manifold, cls, assignment):

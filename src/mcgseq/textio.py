@@ -68,6 +68,25 @@ def _parse_act(act_text: str, pi1, mcg):
     return entries
 
 
+def _parse_type_line(line: str) -> HomeoType:
+    """A ``type <name> pi1=<gspec> mcg=<gspec> [act=<entries>]`` line."""
+    m = re.fullmatch(r"type\s+(\w+)\s+pi1=(\S+)\s+mcg=(\S+)(?:\s+act=(\S+))?", line)
+    if not m:
+        raise ParseError(f"bad type line: {line!r}")
+    name, pi1_spec, mcg_spec, act_text = m.groups()
+    pi1 = parse_group_spec(pi1_spec)
+    mcg = parse_group_spec(mcg_spec)
+    if act_text is None:
+        if pi1.generators() and mcg.generators():
+            raise ParseError(f"type {name!r} needs an act= clause")
+        act = tuple(
+            (elem, OracleAut.from_map(pi1, {})) for _, elem in mcg.generators()
+        )
+    else:
+        act = tuple(_parse_act(act_text, pi1, mcg))
+    return HomeoType(name, pi1, mcg, act)
+
+
 def parse_manifold(text: str) -> PrimeDecomposition:
     types: dict[str, HomeoType] = {}
     summand_lines: dict[int, str] = {}
@@ -75,26 +94,10 @@ def parse_manifold(text: str) -> PrimeDecomposition:
     for line in _content_lines(text):
         parts = line.split()
         if parts[0] == "type":
-            m = re.fullmatch(
-                r"type\s+(\w+)\s+pi1=(\S+)\s+mcg=(\S+)(?:\s+act=(\S+))?", line
-            )
-            if not m:
-                raise ParseError(f"bad type line: {line!r}")
-            name, pi1_spec, mcg_spec, act_text = m.groups()
-            if name in types:
-                raise ParseError(f"duplicate type {name!r}")
-            pi1 = parse_group_spec(pi1_spec)
-            mcg = parse_group_spec(mcg_spec)
-            if act_text is None:
-                if pi1.generators() and mcg.generators():
-                    raise ParseError(f"type {name!r} needs an act= clause")
-                act = tuple(
-                    (elem, OracleAut.from_map(pi1, {}))
-                    for _, elem in mcg.generators()
-                )
-            else:
-                act = tuple(_parse_act(act_text, pi1, mcg))
-            types[name] = HomeoType(name, pi1, mcg, act)
+            t = _parse_type_line(line)
+            if t.name in types:
+                raise ParseError(f"duplicate type {t.name!r}")
+            types[t.name] = t
         elif parts[0] == "summand":
             if len(parts) != 3:
                 raise ParseError(f"bad summand line: {line!r}")
@@ -248,7 +251,7 @@ def parse_fpword(manifold: PrimeDecomposition, text: str):
             letters.append(("g", i, elem))
             continue
         raise ParseError(f"bad pi1 letter {tok!r}")
-    return fpgroup.fp_word(manifold, letters)
+    return fpgroup.fp_reduce(manifold, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +455,8 @@ def parse_spotted_marking(text: str) -> SpottedMarking:
     for line in _content_lines(text):
         parts = line.split()
         if parts[0] == "type":
-            m = re.fullmatch(
-                r"type\s+(\w+)\s+pi1=(\S+)\s+mcg=(\S+)(?:\s+act=(\S+))?", line
-            )
-            if not m:
-                raise ParseError(f"bad type line: {line!r}")
-            name, pi1_spec, mcg_spec, act_text = m.groups()
-            pi1 = parse_group_spec(pi1_spec)
-            mcg = parse_group_spec(mcg_spec)
-            if act_text is None:
-                if pi1.generators() and mcg.generators():
-                    raise ParseError(f"type {name!r} needs an act= clause")
-                act = tuple(
-                    (elem, OracleAut.from_map(pi1, {}))
-                    for _, elem in mcg.generators()
-                )
-            else:
-                act = tuple(_parse_act(act_text, pi1, mcg))
-            types[name] = HomeoType(name, pi1, mcg, act)
+            t = _parse_type_line(line)
+            types[t.name] = t
         elif parts[0] == "cap":
             if len(parts) != 2:
                 raise ParseError(f"bad cap line: {line!r}")

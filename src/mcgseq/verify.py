@@ -50,6 +50,15 @@ def single_letter_paths(manifold: PrimeDecomposition, avoid_factor=None, avoid_h
     return paths
 
 
+def twist_refs(manifold: PrimeDecomposition) -> list:
+    """The standard spheres: ('sep', i) for each summand, then ('nonsep', j)
+    and ('assoc', j) for each handle."""
+    refs = [("sep", i) for i in range(1, manifold.k + 1)]
+    for j in range(1, manifold.ell + 1):
+        refs += [("nonsep", j), ("assoc", j)]
+    return refs
+
+
 def discrepant_alphabet(manifold: PrimeDecomposition) -> list:
     """Slides with single-letter paths, spins, twists and handle swaps."""
     letters = []
@@ -65,11 +74,7 @@ def discrepant_alphabet(manifold: PrimeDecomposition) -> list:
             letters.append(w.SlideHandle(j, p))
     for j in range(1, manifold.ell + 1):
         letters.append(w.Spin(j))
-    for i in range(1, manifold.k + 1):
-        letters.append(w.Twist(("sep", i)))
-    for j in range(1, manifold.ell + 1):
-        letters.append(w.Twist(("nonsep", j)))
-        letters.append(w.Twist(("assoc", j)))
+    letters += [w.Twist(ref) for ref in twist_refs(manifold)]
     for a in range(1, manifold.ell + 1):
         for b in range(a + 1, manifold.ell + 1):
             letters.append(w.SwapHandles(a, b))
@@ -99,7 +104,7 @@ def random_fpword(manifold: PrimeDecomposition, rng: random.Random, max_len=3):
     choices = single_letter_paths(manifold)
     for _ in range(rng.randint(0, max_len)):
         letters.extend(rng.choice(choices))
-    return fpgroup.fp_word(manifold, letters)
+    return fpgroup.fp_reduce(manifold, letters)
 
 
 def random_letter(manifold: PrimeDecomposition, rng: random.Random, mixed=True):
@@ -124,12 +129,7 @@ def random_letter(manifold: PrimeDecomposition, rng: random.Random, mixed=True):
         if kind == "spin" and manifold.ell:
             return w.Spin(rng.randint(1, manifold.ell))
         if kind == "twist":
-            refs = [("sep", i) for i in range(1, manifold.k + 1)]
-            refs += [
-                (knd, j)
-                for j in range(1, manifold.ell + 1)
-                for knd in ("nonsep", "assoc")
-            ]
+            refs = twist_refs(manifold)
             if refs:
                 return w.Twist(rng.choice(refs))
         if kind == "swapHandles" and manifold.ell >= 2:
@@ -354,7 +354,7 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
         for assignment in allowable_assignments(manifold, cls):
             assignments += 1
             try:
-                word = systems.normalize_system(manifold, fam, assignment)
+                word = systems._normalize(manifold, cls, assignment)
             except Exception as exc:  # Unreachable or any defect
                 unreachable += 1
                 failures.append(
@@ -429,13 +429,7 @@ def pi1_suite(manifold: PrimeDecomposition, seed=7, pairs=300, max_len=6) -> dic
             for i in range(1, manifold.k + 1)
         ):
             failures.append(f"spin({j}) does not abelianize to -1 on x{j}")
-    refs = [("sep", i) for i in range(1, manifold.k + 1)]
-    refs += [
-        (kind, j)
-        for j in range(1, manifold.ell + 1)
-        for kind in ("nonsep", "assoc")
-    ]
-    for ref in refs:
+    for ref in twist_refs(manifold):
         word = w.Word(manifold, (w.Twist(ref),))
         if (
             fpgroup.abelianized_action(manifold, word).images
@@ -459,12 +453,7 @@ def oracle_identity(manifold, i, elem):
 def relations_suite(manifold: PrimeDecomposition) -> dict:
     """twist^2 = 1, spin^2 = twist(assoc) with trivial action, spin swaps labels."""
     failures = []
-    refs = [("sep", i) for i in range(1, manifold.k + 1)]
-    refs += [
-        (kind, j)
-        for j in range(1, manifold.ell + 1)
-        for kind in ("nonsep", "assoc")
-    ]
+    refs = twist_refs(manifold)
     for ref in refs:
         word = w.Word.of(manifold, (w.Twist(ref), w.Twist(ref)))
         if w.free_reduce(word).letters != ():

@@ -6,7 +6,7 @@ Convention (used package-wide): words act left-to-right, so acting with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidWord, ManifoldMismatch
 from .model import PrimeDecomposition
@@ -79,7 +79,8 @@ class Aut:
     token: object  # mcg oracle element
 
 
-DISCREPANT_KINDS = (SlideIrr, SlideEnd, SlideHandle, Spin, Twist, SwapHandles)
+_SLIDES = (SlideIrr, SlideEnd, SlideHandle)
+DISCREPANT_KINDS = _SLIDES + (Spin, Twist, SwapHandles)
 
 
 def is_discrepant_letter(letter) -> bool:
@@ -174,14 +175,8 @@ def compose(w1: Word, w2: Word) -> Word:
 
 
 def _invert_letter(manifold: PrimeDecomposition, letter) -> tuple:
-    if isinstance(letter, SlideIrr):
-        return (SlideIrr(letter.summand, fpgroup.fp_inv(manifold, letter.path)),)
-    if isinstance(letter, SlideEnd):
-        return (
-            SlideEnd(letter.handle, letter.sign, fpgroup.fp_inv(manifold, letter.path)),
-        )
-    if isinstance(letter, SlideHandle):
-        return (SlideHandle(letter.handle, fpgroup.fp_inv(manifold, letter.path)),)
+    if isinstance(letter, _SLIDES):
+        return (replace(letter, path=fpgroup.fp_inv(manifold, letter.path)),)
     if isinstance(letter, Spin):
         # spin^-1 = spin * twist(assoc); the half twist undone overshoots by
         # a full twist
@@ -205,181 +200,127 @@ def invert(w: Word) -> Word:
 # free reduction (rules R1-R4)
 
 
-def _inverse_pair(manifold: PrimeDecomposition, a, b) -> bool:
-    """R1: b is the letter inverse of a (slides and swaps only)."""
-    if isinstance(a, SlideIrr) and isinstance(b, SlideIrr):
-        return a.summand == b.summand and b.path == fpgroup.fp_inv(manifold, a.path)
-    if isinstance(a, SlideEnd) and isinstance(b, SlideEnd):
-        return (
-            a.handle == b.handle
-            and a.sign == b.sign
-            and b.path == fpgroup.fp_inv(manifold, a.path)
-        )
-    if isinstance(a, SlideHandle) and isinstance(b, SlideHandle):
-        return a.handle == b.handle and b.path == fpgroup.fp_inv(manifold, a.path)
-    if isinstance(a, SwapHandles) and isinstance(b, SwapHandles):
-        return a == b
-    if isinstance(a, SwapIrr) and isinstance(b, SwapIrr):
-        return a == b
-    return False
+def _push_reduced(manifold: PrimeDecomposition, out: list, b) -> None:
+    """Append b to the reduced stack ``out`` and rewrite at the top."""
+    if isinstance(b, Aut):
+        mcg = manifold.type_of(b.summand).mcg
+        if mcg.is_identity(b.token):
+            return
+        if out and isinstance(out[-1], Aut) and out[-1].summand == b.summand:
+            merged = mcg.mul(out.pop().token, b.token)
+            if not mcg.is_identity(merged):
+                out.append(Aut(b.summand, merged))
+            return
+    elif out:
+        a = out[-1]
+        if type(a) is type(b):
+            if _invert_letter(manifold, a) == (b,):
+                out.pop()
+                return
+            if isinstance(b, Spin) and a.handle == b.handle:
+                out.pop()
+                _push_reduced(manifold, out, Twist(("assoc", b.handle)))
+                return
+        elif isinstance(b, Spin) and a == Twist(("assoc", b.handle)):
+            # twist(assoc j) = spin(j)^2 commutes with spin(j); ordering
+            # spins first lets alternating runs collapse through R2/R3
+            out.pop()
+            _push_reduced(manifold, out, b)
+            _push_reduced(manifold, out, a)
+            return
+    out.append(b)
 
 
 def free_reduce(w: Word) -> Word:
-    """Apply R1-R4 until fixpoint.
+    """Apply R1-R4 in one left-to-right pass over a stack of reduced letters.
 
     R1 cancels adjacent letter/inverse pairs, R2 cancels twist^2, R3 turns
     spin^2 into the twist on the associated sphere, R4 merges adjacent aut
-    letters through the mcg oracle and drops identity tokens.
+    letters through the mcg oracle and drops identity tokens; a
+    twist(assoc j) followed by spin(j) is reordered spin first.  Each letter
+    is pushed onto the stack and rewritten against its top only, since the
+    stack below stays reduced; the result is the word left when no rule
+    applies anywhere.
     """
-    m = w.manifold
-    letters = list(w.letters)
-    changed = True
-    while changed:
-        changed = False
-        for idx, letter in enumerate(letters):
-            if isinstance(letter, Aut) and m.type_of(letter.summand).mcg.is_identity(
-                letter.token
-            ):
-                del letters[idx]
-                changed = True
-                break
-        if changed:
-            continue
-        for idx in range(len(letters) - 1):
-            a, b = letters[idx], letters[idx + 1]
-            if _inverse_pair(m, a, b):
-                del letters[idx : idx + 2]
-                changed = True
-                break
-            if isinstance(a, Twist) and isinstance(b, Twist) and a.ref == b.ref:
-                del letters[idx : idx + 2]
-                changed = True
-                break
-            if isinstance(a, Spin) and isinstance(b, Spin) and a.handle == b.handle:
-                letters[idx : idx + 2] = [Twist(("assoc", a.handle))]
-                changed = True
-                break
-            if (
-                isinstance(a, Aut)
-                and isinstance(b, Aut)
-                and a.summand == b.summand
-            ):
-                mcg = m.type_of(a.summand).mcg
-                merged = mcg.mul(a.token, b.token)
-                if mcg.is_identity(merged):
-                    del letters[idx : idx + 2]
-                else:
-                    letters[idx : idx + 2] = [Aut(a.summand, merged)]
-                changed = True
-                break
-            if (
-                isinstance(a, Twist)
-                and isinstance(b, Spin)
-                and a.ref == ("assoc", b.handle)
-            ):
-                # twist(assoc j) = spin(j)^2 commutes with spin(j); ordering
-                # spins first lets alternating runs collapse through R2/R3
-                letters[idx : idx + 2] = [b, a]
-                changed = True
-                break
-    return Word(m, tuple(letters))
+    out: list = []
+    for letter in w.letters:
+        _push_reduced(w.manifold, out, letter)
+    return Word(w.manifold, tuple(out))
 
 
 # ---------------------------------------------------------------------------
 # normal form: (discrepant letters) (aut letters) (swapIrr letters)
 
 
-def _relabel_path_letters(manifold, path, letter):
-    return fpgroup.act_letter_pi1(manifold, letter, path)
+def _push_right(manifold: PrimeDecomposition, a, d):
+    """Rewrite (a, d) -> (d', a) for an aut or swapIrr letter a and a
+    discrepant letter d.
 
-
-def _push_aut_right(manifold, aut: Aut, d):
-    """Rewrite (aut, d) -> (d', aut) for a discrepant letter d."""
-    if isinstance(d, (SlideIrr, SlideEnd, SlideHandle)):
-        mcg = manifold.type_of(aut.summand).mcg
-        inverse = Aut(aut.summand, mcg.inv(aut.token))
-        new_path = _relabel_path_letters(manifold, d.path, inverse)
+    Slide paths are rewritten through the inverse mcg action of an aut
+    letter or through the a<->b relabeling of a swapIrr letter, which also
+    relabels the summand of slideIrr and twist(sep); spins, the other
+    twists and handle swaps act away from every summand.
+    """
+    if isinstance(a, SwapIrr):
+        swap = {a.a: a.b, a.b: a.a}
+        if isinstance(d, Twist) and d.ref[0] == "sep":
+            return Twist(("sep", swap.get(d.ref[1], d.ref[1])))
         if isinstance(d, SlideIrr):
-            return SlideIrr(d.summand, new_path)
-        if isinstance(d, SlideEnd):
-            return SlideEnd(d.handle, d.sign, new_path)
-        return SlideHandle(d.handle, new_path)
-    # spins, twists and handle swaps act away from every summand
+            d = replace(d, summand=swap.get(d.summand, d.summand))
+    elif isinstance(d, _SLIDES):
+        a = Aut(a.summand, manifold.type_of(a.summand).mcg.inv(a.token))
+    if isinstance(d, _SLIDES):
+        return replace(d, path=fpgroup.act_letter_pi1(manifold, a, d.path))
     return d
 
 
-def _push_swapirr_right(manifold, swap: SwapIrr, d):
-    """Rewrite (swapIrr, d) -> (d', swapIrr): relabel indices a<->b inside d."""
-    a, b = swap.a, swap.b
+def _segments(w: Word) -> tuple[list, list, list]:
+    """One pass splitting w into (discrepant)(aut)(swapIrr) segments.
 
-    def sw(i):
-        return b if i == a else a if i == b else i
-
-    if isinstance(d, SlideIrr):
-        return SlideIrr(sw(d.summand), _relabel_path_letters(manifold, d.path, swap))
-    if isinstance(d, SlideEnd):
-        return SlideEnd(d.handle, d.sign, _relabel_path_letters(manifold, d.path, swap))
-    if isinstance(d, SlideHandle):
-        return SlideHandle(d.handle, _relabel_path_letters(manifold, d.path, swap))
-    if isinstance(d, Twist) and d.ref[0] == "sep":
-        return Twist(("sep", sw(d.ref[1])))
-    return d
+    Each discrepant letter moves left past every aut/swapIrr letter before
+    it, nearest first, each rewriting it by ``_push_right``.  Each aut
+    letter moves left past the swapIrr letters before it, which relabel its
+    summand: ``where[i]`` is the summand that index i denotes once those
+    swaps are passed, and each swapIrr swaps two entries.  The aut tokens
+    are then merged per summand in order, identity tokens dropped and the
+    aut letters sorted by summand.
+    """
+    m = w.manifold
+    head: list = []
+    passed: list = []  # the aut/swapIrr letters seen so far
+    swaps: list = []
+    where = list(range(m.k + 1))
+    merged: dict[int, object] = {}
+    for letter in w.letters:
+        if isinstance(letter, Aut):
+            passed.append(letter)
+            i = where[letter.summand]
+            if i in merged:
+                merged[i] = m.type_of(i).mcg.mul(merged[i], letter.token)
+            else:
+                merged[i] = letter.token
+        elif isinstance(letter, SwapIrr):
+            passed.append(letter)
+            swaps.append(letter)
+            where[letter.a], where[letter.b] = where[letter.b], where[letter.a]
+        else:
+            for a in reversed(passed):
+                letter = _push_right(m, a, letter)
+            head.append(letter)
+    auts = [
+        Aut(i, token)
+        for i, token in sorted(merged.items())
+        if not m.type_of(i).mcg.is_identity(token)
+    ]
+    return head, auts, swaps
 
 
 def normalize_word(w: Word) -> Word:
-    """Equivalent word of shape (discrepant)(aut)(swapIrr).
+    """Equivalent word of shape (discrepant)(aut)(swapIrr), built in one pass.
 
     Equivalence means identical pi1 action and identical eduction; the
     commutation rules rewrite slide paths through the relevant relabeling
-    or inverse mcg action.
+    or inverse mcg action (see ``_segments``).
     """
-    m = w.manifold
-    letters = list(w.letters)
-    # phase 1: move aut/swapIrr letters right past discrepant letters
-    moved = True
-    while moved:
-        moved = False
-        for idx in range(len(letters) - 1):
-            a, b = letters[idx], letters[idx + 1]
-            if isinstance(a, Aut) and is_discrepant_letter(b):
-                letters[idx : idx + 2] = [_push_aut_right(m, a, b), a]
-                moved = True
-                break
-            if isinstance(a, SwapIrr) and is_discrepant_letter(b):
-                letters[idx : idx + 2] = [_push_swapirr_right(m, a, b), a]
-                moved = True
-                break
-    # phase 2: inside the trailing segment, aut letters precede swapIrr letters
-    moved = True
-    while moved:
-        moved = False
-        for idx in range(len(letters) - 1):
-            a, b = letters[idx], letters[idx + 1]
-            if isinstance(a, SwapIrr) and isinstance(b, Aut):
-                def sw(i):
-                    return a.b if i == a.a else a.a if i == a.b else i
-
-                letters[idx : idx + 2] = [Aut(sw(b.summand), b.token), a]
-                moved = True
-                break
-    # phase 3: merge and sort the aut segment (auts on distinct summands commute)
-    split = next(
-        (i for i, lt in enumerate(letters) if isinstance(lt, (Aut, SwapIrr))),
-        len(letters),
-    )
-    head = letters[:split]
-    auts = [lt for lt in letters[split:] if isinstance(lt, Aut)]
-    swaps = [lt for lt in letters[split:] if isinstance(lt, SwapIrr)]
-    merged: dict[int, object] = {}
-    for lt in auts:
-        mcg = m.type_of(lt.summand).mcg
-        if lt.summand in merged:
-            merged[lt.summand] = mcg.mul(merged[lt.summand], lt.token)
-        else:
-            merged[lt.summand] = lt.token
-    aut_letters = [
-        Aut(i, tok)
-        for i, tok in sorted(merged.items())
-        if not m.type_of(i).mcg.is_identity(tok)
-    ]
-    return Word(m, tuple(head + aut_letters + list(swaps)))
+    head, auts, swaps = _segments(w)
+    return Word(w.manifold, tuple(head + auts + swaps))

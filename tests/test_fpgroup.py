@@ -12,7 +12,6 @@ from mcgseq.fpgroup import (
     fp_inv,
     fp_mul,
     fp_reduce,
-    fp_word,
     generator_words,
     identity_ab_action,
     identity_table,
@@ -104,7 +103,7 @@ class TestAutTable:
         for _ in range(40):
             word = random_word(mstar, rng, max_len=5)
             table = aut_of_word(mstar, word)
-            u = fp_word(
+            u = fp_reduce(
                 mstar,
                 [random.Random(rng.random()).choice([g(1), g(2), x(1), x(2, -1)]) for _ in range(4)],
             )

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,7 +81,7 @@ class TestFree:
     @given(st.lists(st.tuples(st.integers(1, 2), st.sampled_from([1, -1])), max_size=8))
     def test_inverse_cancels(self, letters):
         f2 = FreeOracle(2)
-        elem = f2.mul_all([((g, e),) for g, e in letters])
+        elem = functools.reduce(f2.mul, [((g, e),) for g, e in letters], f2.identity)
         assert f2.mul(elem, f2.inv(elem)) == f2.identity
 
 

@@ -410,22 +410,8 @@ class TestEnumerateSymmetric:
         )
 
     def test_census_script(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT_DIR / "src"), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(ROOT_DIR / "scripts" / "enumerate_symmetric.py"),
-                "--manifold",
-                str(ROOT_DIR / "fixtures" / "mstar.txt"),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
+        mstar_file = str(ROOT_DIR / "fixtures" / "mstar.txt")
+        proc = _run_script("enumerate_symmetric.py", "--manifold", mstar_file)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "laminar candidates with 4 blocks: 16990" in lines
@@ -435,6 +421,44 @@ class TestEnumerateSymmetric:
             for ln in lines
         )
         assert any(ln.startswith("allowable assignments: 5184 total ") for ln in lines)
+
+    def test_suites_script_quick(self):
+        proc = _run_script("run_suites.py", "--quick")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [ln.split()[:2] for ln in lines] == [
+            ["PASS", name]
+            for name in (
+                "exactness",
+                "normalization",
+                "pi1",
+                "relations",
+                "spotted",
+                "roundtrip",
+            )
+        ]
+
+    def test_demo_script(self):
+        proc = _run_script("demo_normalize.py")
+        assert proc.returncode == 0, proc.stderr
+        assert (
+            "replay lands on the target family with the requested assignment"
+            in proc.stdout.splitlines()
+        )
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT_DIR / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT_DIR / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
 
 
 class TestTrace:

@@ -1,12 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from mcgseq import fpgroup, sequence, systems, words as w
-from mcgseq.errors import InvalidWord, ManifoldMismatch
+from mcgseq import build_manifold, fpgroup, sequence, systems, words as w
+from mcgseq.errors import InvalidWord, ManifoldMismatch, NotDiscrepant, OracleError
 from mcgseq.fpgroup import act_pi1, generator_words
 from mcgseq.textio import parse_fpword, parse_word, word_text
-from mcgseq.verify import enumerate_symmetric, random_word
+from mcgseq.verify import (
+    discrepant_alphabet,
+    enumerate_symmetric,
+    nondiscrepant_alphabet,
+    random_word,
+)
 
 
 class TestCompose:
@@ -107,6 +113,12 @@ class TestFreeReduce:
             fam = rng.choice(families)
             assert _outcome(mstar, word, fam) == _outcome(mstar, reduced, fam)
 
+    def test_assoc_twist_commutes_past_spin(self, mstar):
+        word = parse_word(mstar, "twist(assoc1) spin(1) twist(assoc1)")
+        assert w.free_reduce(word).letters == (w.Spin(1),)
+        word = parse_word(mstar, "spin(1) twist(assoc1) spin(1)")
+        assert w.free_reduce(word).letters == ()
+
     def test_invert_roundtrip(self, mstar):
         rng = random.Random(29)
         for _ in range(150):
@@ -199,3 +211,252 @@ class TestValidation:
         for _ in range(100):
             word = random_word(mstar, rng, max_len=5)
             assert parse_word(mstar, word_text(word)) == word
+
+
+# ---------------------------------------------------------------------------
+# the restart-from-the-start rewriting loops, kept as the reference that the
+# single-pass free_reduce, normalize_word and factor_discrepant must equal
+
+
+def _ref_inverse_pair(manifold, a, b) -> bool:
+    """R1: b is the letter inverse of a (slides and swaps only)."""
+    if isinstance(a, w.SlideIrr) and isinstance(b, w.SlideIrr):
+        return a.summand == b.summand and b.path == fpgroup.fp_inv(manifold, a.path)
+    if isinstance(a, w.SlideEnd) and isinstance(b, w.SlideEnd):
+        return (
+            a.handle == b.handle
+            and a.sign == b.sign
+            and b.path == fpgroup.fp_inv(manifold, a.path)
+        )
+    if isinstance(a, w.SlideHandle) and isinstance(b, w.SlideHandle):
+        return a.handle == b.handle and b.path == fpgroup.fp_inv(manifold, a.path)
+    if isinstance(a, w.SwapHandles) and isinstance(b, w.SwapHandles):
+        return a == b
+    if isinstance(a, w.SwapIrr) and isinstance(b, w.SwapIrr):
+        return a == b
+    return False
+
+
+def _ref_free_reduce(word: w.Word) -> w.Word:
+    """Apply R1-R4 until fixpoint.
+
+    R1 cancels adjacent letter/inverse pairs, R2 cancels twist^2, R3 turns
+    spin^2 into the twist on the associated sphere, R4 merges adjacent aut
+    letters through the mcg oracle and drops identity tokens.
+    """
+    m = word.manifold
+    letters = list(word.letters)
+    changed = True
+    while changed:
+        changed = False
+        for idx, letter in enumerate(letters):
+            if isinstance(letter, w.Aut) and m.type_of(letter.summand).mcg.is_identity(
+                letter.token
+            ):
+                del letters[idx]
+                changed = True
+                break
+        if changed:
+            continue
+        for idx in range(len(letters) - 1):
+            a, b = letters[idx], letters[idx + 1]
+            if _ref_inverse_pair(m, a, b):
+                del letters[idx : idx + 2]
+                changed = True
+                break
+            if isinstance(a, w.Twist) and isinstance(b, w.Twist) and a.ref == b.ref:
+                del letters[idx : idx + 2]
+                changed = True
+                break
+            if isinstance(a, w.Spin) and isinstance(b, w.Spin) and a.handle == b.handle:
+                letters[idx : idx + 2] = [w.Twist(("assoc", a.handle))]
+                changed = True
+                break
+            if (
+                isinstance(a, w.Aut)
+                and isinstance(b, w.Aut)
+                and a.summand == b.summand
+            ):
+                mcg = m.type_of(a.summand).mcg
+                merged = mcg.mul(a.token, b.token)
+                if mcg.is_identity(merged):
+                    del letters[idx : idx + 2]
+                else:
+                    letters[idx : idx + 2] = [w.Aut(a.summand, merged)]
+                changed = True
+                break
+            if (
+                isinstance(a, w.Twist)
+                and isinstance(b, w.Spin)
+                and a.ref == ("assoc", b.handle)
+            ):
+                # twist(assoc j) = spin(j)^2 commutes with spin(j); ordering
+                # spins first lets alternating runs collapse through R2/R3
+                letters[idx : idx + 2] = [b, a]
+                changed = True
+                break
+    return w.Word(m, tuple(letters))
+
+
+def _ref_relabel_path_letters(manifold, path, letter):
+    return fpgroup.act_letter_pi1(manifold, letter, path)
+
+
+def _ref_push_aut_right(manifold, aut: w.Aut, d):
+    """Rewrite (aut, d) -> (d', aut) for a discrepant letter d."""
+    if isinstance(d, (w.SlideIrr, w.SlideEnd, w.SlideHandle)):
+        mcg = manifold.type_of(aut.summand).mcg
+        inverse = w.Aut(aut.summand, mcg.inv(aut.token))
+        new_path = _ref_relabel_path_letters(manifold, d.path, inverse)
+        if isinstance(d, w.SlideIrr):
+            return w.SlideIrr(d.summand, new_path)
+        if isinstance(d, w.SlideEnd):
+            return w.SlideEnd(d.handle, d.sign, new_path)
+        return w.SlideHandle(d.handle, new_path)
+    # spins, twists and handle swaps act away from every summand
+    return d
+
+
+def _ref_push_swapirr_right(manifold, swap: w.SwapIrr, d):
+    """Rewrite (swapIrr, d) -> (d', swapIrr): relabel indices a<->b inside d."""
+    a, b = swap.a, swap.b
+
+    def sw(i):
+        return b if i == a else a if i == b else i
+
+    if isinstance(d, w.SlideIrr):
+        return w.SlideIrr(sw(d.summand), _ref_relabel_path_letters(manifold, d.path, swap))
+    if isinstance(d, w.SlideEnd):
+        return w.SlideEnd(d.handle, d.sign, _ref_relabel_path_letters(manifold, d.path, swap))
+    if isinstance(d, w.SlideHandle):
+        return w.SlideHandle(d.handle, _ref_relabel_path_letters(manifold, d.path, swap))
+    if isinstance(d, w.Twist) and d.ref[0] == "sep":
+        return w.Twist(("sep", sw(d.ref[1])))
+    return d
+
+
+def _ref_normalize_word(word: w.Word) -> w.Word:
+    """Equivalent word of shape (discrepant)(aut)(swapIrr).
+
+    Equivalence means identical pi1 action and identical eduction; the
+    commutation rules rewrite slide paths through the relevant relabeling
+    or inverse mcg action.
+    """
+    m = word.manifold
+    letters = list(word.letters)
+    # phase 1: move aut/swapIrr letters right past discrepant letters
+    moved = True
+    while moved:
+        moved = False
+        for idx in range(len(letters) - 1):
+            a, b = letters[idx], letters[idx + 1]
+            if isinstance(a, w.Aut) and w.is_discrepant_letter(b):
+                letters[idx : idx + 2] = [_ref_push_aut_right(m, a, b), a]
+                moved = True
+                break
+            if isinstance(a, w.SwapIrr) and w.is_discrepant_letter(b):
+                letters[idx : idx + 2] = [_ref_push_swapirr_right(m, a, b), a]
+                moved = True
+                break
+    # phase 2: inside the trailing segment, aut letters precede swapIrr letters
+    moved = True
+    while moved:
+        moved = False
+        for idx in range(len(letters) - 1):
+            a, b = letters[idx], letters[idx + 1]
+            if isinstance(a, w.SwapIrr) and isinstance(b, w.Aut):
+                def sw(i):
+                    return a.b if i == a.a else a.a if i == a.b else i
+
+                letters[idx : idx + 2] = [w.Aut(sw(b.summand), b.token), a]
+                moved = True
+                break
+    # phase 3: merge and sort the aut segment (auts on distinct summands commute)
+    split = next(
+        (i for i, lt in enumerate(letters) if isinstance(lt, (w.Aut, w.SwapIrr))),
+        len(letters),
+    )
+    head = letters[:split]
+    auts = [lt for lt in letters[split:] if isinstance(lt, w.Aut)]
+    swaps = [lt for lt in letters[split:] if isinstance(lt, w.SwapIrr)]
+    merged: dict[int, object] = {}
+    for lt in auts:
+        mcg = m.type_of(lt.summand).mcg
+        if lt.summand in merged:
+            merged[lt.summand] = mcg.mul(merged[lt.summand], lt.token)
+        else:
+            merged[lt.summand] = lt.token
+    aut_letters = [
+        w.Aut(i, tok)
+        for i, tok in sorted(merged.items())
+        if not m.type_of(i).mcg.is_identity(tok)
+    ]
+    return w.Word(m, tuple(head + aut_letters + list(swaps)))
+
+
+def _ref_factor_discrepant(word):
+    if not sequence.is_discrepant(word):
+        raise NotDiscrepant("word does not educe to the identity")
+    normal = _ref_normalize_word(word)
+    split = next(
+        (
+            i
+            for i, lt in enumerate(normal.letters)
+            if isinstance(lt, (w.Aut, w.SwapIrr))
+        ),
+        len(normal.letters),
+    )
+    tail = w.Word(word.manifold, normal.letters[split:])
+    if not sequence.is_discrepant(tail):
+        raise OracleError("non-trivial trailing segment")
+    return w.Word(word.manifold, normal.letters[:split])
+
+
+def _factor_outcome(factor, word):
+    try:
+        return factor(word)
+    except (NotDiscrepant, OracleError) as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(word):
+    assert w.free_reduce(word) == _ref_free_reduce(word), word_text(word)
+    assert w.normalize_word(word) == _ref_normalize_word(word), word_text(word)
+    assert _factor_outcome(sequence.factor_discrepant, word) == _factor_outcome(
+        _ref_factor_discrepant, word
+    ), word_text(word)
+
+
+# three summands with free pi1 and a free, non-abelian mcg: aut merges and
+# the pushes of a slide past aut letters depend on their order, and the
+# swapIrr letters do not commute
+FREE_MCG_TEXT = """
+type H pi1=F2 mcg=F2 act=g1:g2,g1;g1^-1:g2,g1;g2:g1,g1*g2;g2^-1:g1,g1^-1*g2
+summand 1 H
+summand 2 H
+summand 3 H
+handles 1
+"""
+
+
+@pytest.fixture(scope="module")
+def free_mcg():
+    return build_manifold(FREE_MCG_TEXT)
+
+
+class TestSinglePassMatchesReference:
+    def test_every_mixed_word_up_to_length_3(self, mstar):
+        alphabet = discrepant_alphabet(mstar) + nondiscrepant_alphabet(mstar)
+        count = 0
+        for length in range(4):
+            for combo in itertools.product(alphabet, repeat=length):
+                _assert_matches_reference(w.Word(mstar, combo))
+                count += 1
+        assert count == 99_499
+
+    @pytest.mark.parametrize("name", ["mstar", "k2l1", "mixed_types", "free_mcg"])
+    def test_random_words_up_to_length_14(self, name, request):
+        manifold = request.getfixturevalue(name)
+        rng = random.Random(41)
+        for _ in range(2000):
+            _assert_matches_reference(random_word(manifold, rng, max_len=14))
