@@ -11,7 +11,7 @@ Words act on pi1 on the left-to-right convention: acting with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidWord, OracleError
 from .model import PrimeDecomposition
@@ -208,19 +208,21 @@ class AutTable:
 
     manifold: PrimeDecomposition
     images: tuple[tuple[tuple, FPWord], ...]  # (key, image word)
+    _image_by_key: dict = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        # reversed: the first entry of a repeated key wins, as in a scan
+        object.__setattr__(self, "_image_by_key", dict(reversed(self.images)))
 
     def image_of(self, key) -> FPWord:
-        for k, img in self.images:
-            if k == key:
-                return img
-        raise KeyError(key)
-
-    def as_dict(self) -> dict:
-        return dict(self.images)
+        try:
+            return self._image_by_key[key]
+        except (KeyError, TypeError):
+            raise KeyError(key) from None
 
     def apply(self, u: FPWord) -> FPWord:
         m = self.manifold
-        table = self.as_dict()
+        table = self._image_by_key
         out: list = []
         for lt in u:
             if lt[0] == "g":
@@ -364,12 +366,17 @@ class AbAction:
 
     manifold: PrimeDecomposition
     images: tuple[tuple[tuple, tuple], ...]  # (key, H1 element)
+    _image_by_key: dict = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        # reversed: the first entry of a repeated key wins, as in a scan
+        object.__setattr__(self, "_image_by_key", dict(reversed(self.images)))
 
     def image_of(self, key):
-        for k, img in self.images:
-            if k == key:
-                return img
-        raise KeyError(key)
+        try:
+            return self._image_by_key[key]
+        except (KeyError, TypeError):
+            raise KeyError(key) from None
 
     def apply(self, elem):
         m = self.manifold

@@ -70,9 +70,11 @@ class HomeoType:
     pi1: GroupOracle
     mcg: GroupOracle
     act: tuple[tuple[object, OracleAut], ...] = ()
+    _act_by_token: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         declared = dict(self.act)
+        object.__setattr__(self, "_act_by_token", declared)
         for m, table in declared.items():
             self.mcg.check_element(m)
             if table.oracle != self.pi1:
@@ -129,7 +131,7 @@ class HomeoType:
 
     def pi1_table(self, m) -> OracleAut:
         """Automorphism table of an arbitrary mcg element."""
-        declared = dict(self.act)
+        declared = self._act_by_token
         if m in declared:
             return declared[m]
         out = OracleAut.identity_aut(self.pi1)
@@ -589,6 +591,8 @@ class Assignment:
         return dict(self.entries)
 
     def target_of(self, token):
+        # a scan of the k + 2l entries: a dict built with every assignment
+        # costs more time and memory than the few lookups made on it
         for tok, target in self.entries:
             if tok == token:
                 return target

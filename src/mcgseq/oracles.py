@@ -20,6 +20,22 @@ from .errors import OracleError, ParseError
 
 _NAME_RE = re.compile(r"^(?:1|[A-Za-z][A-Za-z0-9_']*)$")
 
+# Largest |n| accepted in a power ``g<i>^<n>`` of element text: a power
+# expands to |n| letters, steps or multiplications.
+MAX_EXPONENT = 10_000
+
+
+def parse_exponent(digits: str | None, term: str) -> int:
+    """The exponent of a power term (1 when absent), at most MAX_EXPONENT."""
+    if digits is None:
+        return 1
+    magnitude = digits.lstrip("-").lstrip("0")
+    if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or 0) > MAX_EXPONENT:
+        raise ParseError(
+            f"exponent in {term!r} exceeds {MAX_EXPONENT} in absolute value"
+        )
+    return int(digits)
+
 
 class GroupOracle:
     """Shared behaviour; concrete kinds override the primitives."""
@@ -151,8 +167,7 @@ class CyclicOracle(GroupOracle):
         m = re.fullmatch(r"g1(?:\^(-?\d+))?", text)
         if not m or self.order == 1:
             raise ParseError(f"bad Z/{self.order} element {text!r}")
-        exp = int(m.group(1)) if m.group(1) else 1
-        return exp % self.order
+        return parse_exponent(m.group(1), text) % self.order
 
     def spec_text(self):
         return f"Z/{self.order}"
@@ -235,7 +250,7 @@ class FreeOracle(GroupOracle):
             m = re.fullmatch(r"g(\d+)(?:\^(-?\d+))?", part)
             if not m:
                 raise ParseError(f"bad free-group letter {part!r}")
-            g, exp = int(m.group(1)), int(m.group(2)) if m.group(2) else 1
+            g, exp = int(m.group(1)), parse_exponent(m.group(2), part)
             if not 1 <= g <= self.rank:
                 raise ParseError(f"generator g{g} out of range for F{self.rank}")
             sign = 1 if exp > 0 else -1
@@ -318,7 +333,7 @@ class FreeAbelianOracle(GroupOracle):
             m = re.fullmatch(r"g(\d+)(?:\^(-?\d+))?", part)
             if not m:
                 raise ParseError(f"bad Z^{self.rank} term {part!r}")
-            g, exp = int(m.group(1)), int(m.group(2)) if m.group(2) else 1
+            g, exp = int(m.group(1)), parse_exponent(m.group(2), part)
             if not 1 <= g <= self.rank:
                 raise ParseError(f"generator g{g} out of range for Z^{self.rank}")
             vec[g - 1] += exp
@@ -342,6 +357,7 @@ class TableOracle(GroupOracle):
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     _identity_index: int = field(init=False, repr=False, compare=False, default=-1)
+    _index_of: dict = field(init=False, repr=False, compare=False, default=None)
 
     kind = "table"
 
@@ -382,12 +398,17 @@ class TableOracle(GroupOracle):
                     ):
                         raise OracleError("table is not associative")
         object.__setattr__(self, "_identity_index", ident)
+        object.__setattr__(
+            self, "_index_of", {name: i for i, name in enumerate(self.names)}
+        )
 
     def _index(self, a) -> int:
         try:
-            return self.names.index(a)
-        except ValueError:
-            raise OracleError(f"{a!r} is not an element of {self.spec_text()}")
+            return self._index_of[a]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            raise OracleError(
+                f"{a!r} is not an element of {self.spec_text()}"
+            ) from None
 
     @property
     def identity(self):
@@ -519,9 +540,12 @@ class OracleAut:
 
     oracle: GroupOracle
     images: tuple[tuple[str, object], ...]  # (gen_name, image element)
+    _image_by_name: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        declared = {name for name, _ in self.images}
+        # reversed: the first entry of a repeated name wins, as in a scan
+        object.__setattr__(self, "_image_by_name", dict(reversed(self.images)))
+        declared = set(self._image_by_name)
         expected = set(self.oracle.gen_names())
         if declared != expected:
             raise OracleError(
@@ -540,10 +564,10 @@ class OracleAut:
         return cls(oracle, tuple((n, e) for n, e in oracle.generators()))
 
     def image_of(self, gen_name: str):
-        for name, img in self.images:
-            if name == gen_name:
-                return img
-        raise OracleError(f"no image for generator {gen_name!r}")
+        try:
+            return self._image_by_name[gen_name]
+        except (KeyError, TypeError):
+            raise OracleError(f"no image for generator {gen_name!r}") from None
 
     def apply(self, elem):
         out = self.oracle.identity

@@ -81,29 +81,32 @@ def compose_images(
     return EductionImage(perm, tuple(tokens))
 
 
-def _letter_image(manifold: PrimeDecomposition, letter) -> EductionImage:
-    """Eduction of a single non-discrepant letter."""
-    if isinstance(letter, w.Aut):
-        image = identity_image(manifold)
-        tokens = list(image.tokens)
-        tokens[letter.summand - 1] = letter.token
-        return EductionImage(image.perm, tuple(tokens))
-    if isinstance(letter, w.SwapIrr):
-        image = identity_image(manifold)
-        perm = list(image.perm)
-        perm[letter.a - 1], perm[letter.b - 1] = perm[letter.b - 1], perm[letter.a - 1]
-        return EductionImage(tuple(perm), image.tokens)
-    raise InvalidWord(f"unknown generator letter {letter!r}")
-
-
 def educe(word: w.Word) -> EductionImage:
-    """Project a word to H(V); slides, spins, twists and handle swaps vanish."""
+    """Project a word to H(V); slides, spins, twists and handle swaps vanish.
+
+    One in-place fold by the wreath rule of ``compose_images``.  A word
+    without aut or swapIrr letters returns the identity image itself.
+    """
     manifold = word.manifold
-    acc = identity_image(manifold)
+    identity = identity_image(manifold)
+    perm = None
     for letter in word.letters:
-        if not w.is_discrepant_letter(letter):
-            acc = compose_images(manifold, acc, _letter_image(manifold, letter))
-    return acc
+        kind = type(letter)
+        if kind in w.DISCREPANT_TYPES:
+            continue
+        if perm is None:
+            perm, tokens = list(identity.perm), list(identity.tokens)
+            inv = {s: i for i, s in enumerate(perm)}  # inv[s]: source now at s
+        if kind is w.Aut:
+            i = inv[letter.summand]
+            tokens[i] = manifold.summands[i].mcg.mul(tokens[i], letter.token)
+        elif kind is w.SwapIrr:
+            a, b = letter.a, letter.b
+            perm[inv[a]], perm[inv[b]] = b, a
+            inv[a], inv[b] = inv[b], inv[a]
+        else:
+            raise InvalidWord(f"unknown generator letter {letter!r}")
+    return identity if perm is None else EductionImage(tuple(perm), tuple(tokens))
 
 
 def perm_transpositions(perm: dict) -> list[tuple[int, int]]:
@@ -164,7 +167,8 @@ def factor_discrepant(word: w.Word) -> w.Word:
         raise NotDiscrepant("word does not educe to the identity")
     manifold = word.manifold
     head, auts, swaps = w._segments(word)
-    if educe(w.Word(manifold, tuple(auts + swaps))) != identity_image(manifold):
+    tail = auts + swaps
+    if tail and educe(w.Word(manifold, tuple(tail))) != identity_image(manifold):
         raise OracleError(
             "normalize_word produced a non-trivial trailing segment for a "
             "kernel word"
@@ -212,16 +216,14 @@ class CapAut:
 
 def check_spotted_letter(marking: SpottedMarking, letter) -> None:
     p = marking.spots
-    if isinstance(letter, SpotSlide):
+    if isinstance(letter, (SpotSlide, SpotTwist)):
         if not 1 <= letter.spot <= p:
             raise InvalidWord(f"spot index {letter.spot} out of range 1..{p}")
-        marking.cap_type.pi1.check_element(letter.path)
+        if isinstance(letter, SpotSlide):
+            marking.cap_type.pi1.check_element(letter.path)
     elif isinstance(letter, SpotSwap):
         if not (1 <= letter.a < letter.b <= p):
             raise InvalidWord(f"spotSwap({letter.a},{letter.b}) invalid")
-    elif isinstance(letter, SpotTwist):
-        if not 1 <= letter.spot <= p:
-            raise InvalidWord(f"spot index {letter.spot} out of range 1..{p}")
     elif isinstance(letter, CapAut):
         marking.cap_type.mcg.check_element(letter.token)
     else:

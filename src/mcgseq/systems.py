@@ -56,6 +56,7 @@ from .model import (
     s_label,
     validate_laminar,
 )
+from .textio import word_letter_text
 
 log = logging.getLogger("mcgseq.systems")
 
@@ -177,7 +178,8 @@ def _act_masks(manifold: PrimeDecomposition, letter, masks: tuple) -> tuple:
     if compiled[0] and not is_laminar(out, manifold.full_mask):
         report = validate_laminar(manifold, map(manifold.block_of, out))
         raise NotLaminarAfterSlide(
-            f"slide {letter!r} breaks laminarity: " + report.violations[0].message
+            f"slide {word_letter_text(manifold, letter)} breaks laminarity: "
+            + report.violations[0].message
         )
     return out
 

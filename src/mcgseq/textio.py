@@ -21,7 +21,7 @@ from .model import (
     label_text,
     s_label,
 )
-from .oracles import OracleAut, parse_group_spec
+from .oracles import OracleAut, parse_exponent, parse_group_spec
 from .sequence import (
     CapAut,
     EductionImage,
@@ -247,7 +247,7 @@ def parse_fpword(manifold: PrimeDecomposition, text: str):
                 raise ParseError(
                     f"factor {i} has no generator g1; use the <elem>@{i} form"
                 )
-            elem = oracle.power(oracle.generator("g1"), int(m.group(2) or 1))
+            elem = oracle.power(oracle.generator("g1"), parse_exponent(m.group(2), tok))
             letters.append(("g", i, elem))
             continue
         raise ParseError(f"bad pi1 letter {tok!r}")

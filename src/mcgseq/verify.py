@@ -285,8 +285,7 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
             )
     mixed = alphabet + nondiscrepant_alphabet(manifold)
     std = standard_system(manifold)
-    mixed_words = 0
-    kernel_words = 0
+    mixed_words = kernel_words = unchanged = compared = vacuous = 0
     for length in range(0, mixed_len + 1):
         for combo in itertools.product(mixed, repeat=length):
             mixed_words += 1
@@ -311,7 +310,9 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
                 )
                 continue
             if factored.letters == word.letters:
+                unchanged += 1
                 continue  # syntactically unchanged: actions trivially equal
+            compared += 1
             if fpgroup.aut_of_word(manifold, word) != fpgroup.aut_of_word(
                 manifold, factored
             ):
@@ -319,12 +320,21 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
                     "pi1 action changed by factoring: " + textio.word_text(word)
                 )
                 continue
-            if _system_outcome(manifold, word, std) != _system_outcome(
-                manifold, factored, std
-            ):
+            outcome = _system_outcome(manifold, word, std)
+            if outcome != _system_outcome(manifold, factored, std):
                 failures.append(
                     "system action changed by factoring: " + textio.word_text(word)
                 )
+            elif outcome == "not-laminar":
+                vacuous += 1
+    log.info(
+        "exactness: %d kernel words, %d skipped as syntactically unchanged, "
+        "%d compared by action, %d of them vacuous (both systems not laminar)",
+        kernel_words,
+        unchanged,
+        compared,
+        vacuous,
+    )
     return {
         "suite": "exactness",
         "discrepant_words": words_checked,

@@ -81,6 +81,7 @@ class Aut:
 
 _SLIDES = (SlideIrr, SlideEnd, SlideHandle)
 DISCREPANT_KINDS = _SLIDES + (Spin, Twist, SwapHandles)
+DISCREPANT_TYPES = frozenset(DISCREPANT_KINDS)  # for exact type(letter) tests
 
 
 def is_discrepant_letter(letter) -> bool:
@@ -115,14 +116,10 @@ def check_letter(manifold: PrimeDecomposition, letter) -> None:
             raise InvalidWord(f"spin handle {letter.handle} out of range")
     elif isinstance(letter, Twist):
         kind, idx = letter.ref
-        if kind == "sep":
-            if not 1 <= idx <= k:
-                raise InvalidWord(f"twist(sep{idx}) out of range")
-        elif kind in ("nonsep", "assoc"):
-            if not 1 <= idx <= ell:
-                raise InvalidWord(f"twist({kind}{idx}) out of range")
-        else:
+        if kind not in ("sep", "nonsep", "assoc"):
             raise InvalidWord(f"bad twist ref {letter.ref!r}")
+        if not 1 <= idx <= (k if kind == "sep" else ell):
+            raise InvalidWord(f"twist({kind}{idx}) out of range")
     elif isinstance(letter, SwapHandles):
         if not (1 <= letter.a < letter.b <= ell):
             raise InvalidWord(f"swapHandles({letter.a},{letter.b}) invalid")
@@ -280,28 +277,31 @@ def _segments(w: Word) -> tuple[list, list, list]:
     Each discrepant letter moves left past every aut/swapIrr letter before
     it, nearest first, each rewriting it by ``_push_right``.  Each aut
     letter moves left past the swapIrr letters before it, which relabel its
-    summand: ``where[i]`` is the summand that index i denotes once those
-    swaps are passed, and each swapIrr swaps two entries.  The aut tokens
-    are then merged per summand in order, identity tokens dropped and the
-    aut letters sorted by summand.
+    summand: ``where[i]``, built at the first swapIrr letter, is the summand
+    that index i denotes once those swaps are passed.  The aut tokens are
+    merged per summand in order, identity tokens dropped and the aut
+    letters sorted by summand; a word with no aut letter skips all that.
     """
     m = w.manifold
     head: list = []
     passed: list = []  # the aut/swapIrr letters seen so far
     swaps: list = []
-    where = list(range(m.k + 1))
+    where = None
     merged: dict[int, object] = {}
     for letter in w.letters:
-        if isinstance(letter, Aut):
+        kind = type(letter)
+        if kind is Aut:
             passed.append(letter)
-            i = where[letter.summand]
+            i = letter.summand if where is None else where[letter.summand]
             if i in merged:
                 merged[i] = m.type_of(i).mcg.mul(merged[i], letter.token)
             else:
                 merged[i] = letter.token
-        elif isinstance(letter, SwapIrr):
+        elif kind is SwapIrr:
             passed.append(letter)
             swaps.append(letter)
+            if where is None:
+                where = list(range(m.k + 1))
             where[letter.a], where[letter.b] = where[letter.b], where[letter.a]
         else:
             for a in reversed(passed):
@@ -311,7 +311,7 @@ def _segments(w: Word) -> tuple[list, list, list]:
         Aut(i, token)
         for i, token in sorted(merged.items())
         if not m.type_of(i).mcg.is_identity(token)
-    ]
+    ] if merged else []
     return head, auts, swaps
 
 

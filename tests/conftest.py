@@ -27,6 +27,17 @@ summand 3 B
 handles 1
 """
 
+# three homeomorphic summands whose mcg is S3 (r, s rotations; a, b, c
+# reflections), acting on pi1 = Z/3 through the sign: a non-abelian mcg with
+# three swapIrr pairs, so the order of aut products and of swaps matters
+S3_SIGN_TEXT = """
+type T pi1=Z/3 mcg=table[e,r,s,a,b,c;e,r,s,a,b,c|r,s,e,b,c,a|s,e,r,c,a,b|a,c,b,e,s,r|b,a,c,r,e,s|c,b,a,s,r,e] act=r:g1;s:g1;a:g1^2;b:g1^2;c:g1^2
+summand 1 T
+summand 2 T
+summand 3 T
+handles 1
+"""
+
 SPOTTED_TEXT = """
 type V0 pi1=Z/2 mcg=table[1,tau;1,tau|tau,1] act=tau:g1
 cap V0
@@ -50,6 +61,12 @@ def k2l1():
 def mixed_types():
     """Two A-summands plus one B-summand and a handle."""
     return build_manifold(TWO_TYPES_TEXT)
+
+
+@pytest.fixture(scope="session")
+def s3_sign():
+    """T # T # T # S^2 x S^1 with mcg(T) = S3 acting on Z/3 by the sign."""
+    return build_manifold(S3_SIGN_TEXT)
 
 
 @pytest.fixture(scope="session")

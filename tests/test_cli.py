@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -210,6 +211,60 @@ class TestErrors:
         )
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "parse"
+
+    def test_non_laminar_slide_names_the_letter(self, tmp_path):
+        word = tmp_path / "word.txt"
+        word.write_text("slideIrr(1; x2)\n")
+        code, out = run_cli(
+            "act-system",
+            "--manifold",
+            fx("mstar.txt"),
+            "--family",
+            fx("family_slid.txt"),
+            "--word",
+            str(word),
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "kind": "NotLaminarAfterSlide",
+                "message": "slide slideIrr(1; x2) breaks laminarity: blocks "
+                "{s1,e1+} and {s1,e2+} overlap without nesting",
+            }
+        }
+
+    @pytest.mark.parametrize(
+        "pi1, element",
+        [
+            ("F2", "g1^1000000000@1"),
+            ("Z^2", "g2^-1000000000@1"),
+            (None, "g1^1000000000"),
+        ],
+    )
+    def test_huge_exponent_fails_fast(self, tmp_path, pi1, element):
+        # a free power expands into |n| letters, a shorthand power into |n|
+        # multiplications; both are refused before any work is done
+        manifold = fx("mstar.txt")
+        if pi1 is not None:
+            manifold = tmp_path / "manifold.txt"
+            manifold.write_text(f"type H pi1={pi1} mcg=Z/1\nsummand 1 H\nhandles 1\n")
+        word = tmp_path / "word.txt"
+        word.write_text("spin(1)\n")
+        start = time.perf_counter()
+        code, out = run_cli(
+            "act-pi1",
+            "--manifold",
+            str(manifold),
+            "--word",
+            str(word),
+            "--element",
+            element,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse"
+        assert "exceeds 10000 in absolute value" in error["message"]
 
     def test_max_len_guard(self):
         code, out = run_cli(

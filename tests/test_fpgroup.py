@@ -3,7 +3,8 @@ import random
 import pytest
 
 from mcgseq import fpgroup, words as w
-from mcgseq.errors import OracleError
+from mcgseq.errors import OracleError, ParseError
+from mcgseq.oracles import MAX_EXPONENT
 from mcgseq.fpgroup import (
     abelianize_table,
     abelianized_action,
@@ -92,6 +93,12 @@ class TestAutTable:
         assert table.image_of(("x", 1)) == (x(2),)
         assert table.image_of(("x", 2)) == (x(1),)
         assert table.image_of(("g", 1, "g1")) == (g(1),)
+
+    def test_image_of_unknown_key(self, mstar):
+        table = identity_table(mstar)
+        for key in (("x", 3), ["x", 1]):
+            with pytest.raises(KeyError):
+                table.image_of(key)
 
     def test_transvection_table(self, mstar):
         table = aut_of_word(mstar, parse_word(mstar, "slideEnd(1,+; g1@1)"))
@@ -204,6 +211,12 @@ class TestFpHelpers:
     def test_parse_shorthand(self, mstar):
         assert parse_fpword(mstar, "g2") == (g(2),)
         assert parse_fpword(mstar, "g1^2") == ()
+
+    def test_shorthand_exponent_bound(self, mstar):
+        # gN^k multiplies k times; a power above MAX_EXPONENT is rejected
+        assert parse_fpword(mstar, f"g1^{MAX_EXPONENT}") == ()
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_fpword(mstar, f"g1^{MAX_EXPONENT + 1}")
 
 
 FREE_FACTOR_TEXT = """

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from mcgseq.errors import OracleError, ParseError
 from mcgseq.oracles import (
+    MAX_EXPONENT,
     CyclicOracle,
     FreeAbelianOracle,
     FreeOracle,
@@ -111,6 +112,13 @@ class TestTable:
         with pytest.raises(OracleError):
             TableOracle(("a", "b"), ((1, 0), (1, 0)))  # no identity
 
+    @pytest.mark.parametrize("token", ["q", 1, None, ["tau"], {"tau": 1}])
+    def test_unknown_or_unhashable_token_rejected(self, token):
+        with pytest.raises(OracleError, match="is not an element of"):
+            Z2_TABLE.mul(token, "tau")
+        with pytest.raises(OracleError, match="is not an element of"):
+            Z2_TABLE.check_element(token)
+
     def test_abelianization_of_s3(self):
         ab, project = S3.abelianized()
         # independent check: |ab| = |G| / |commutator subgroup| = 6/3 = 2
@@ -176,7 +184,35 @@ class TestOracleAut:
         with pytest.raises(OracleError):
             singular.inverse()
 
+    def test_image_of_unknown_generator(self):
+        f2 = FreeOracle(2)
+        aut = OracleAut.identity_aut(f2)
+        assert aut.image_of("g2") == ((2, 1),)
+        for name in ("g3", ["g1"]):
+            with pytest.raises(OracleError, match="no image for generator"):
+                aut.image_of(name)
+
     def test_missing_generator_rejected(self):
         f2 = FreeOracle(2)
         with pytest.raises(OracleError):
             OracleAut.from_map(f2, {"g1": f2.elem_from_text("g1")})
+
+
+class TestExponentBound:
+    """Element text may not ask for a power above MAX_EXPONENT: a power of a
+    free (or free-abelian) generator expands into that many letters."""
+
+    @pytest.mark.parametrize(
+        "oracle, top",
+        [
+            (CyclicOracle(5), MAX_EXPONENT % 5),
+            (FreeOracle(2), ((1, 1),) * MAX_EXPONENT),
+            (FreeAbelianOracle(2), (MAX_EXPONENT, 0)),
+        ],
+    )
+    def test_bound(self, oracle, top):
+        assert oracle.elem_from_text(f"g1^{MAX_EXPONENT}") == top
+        assert oracle.elem_from_text(f"g1^-000{MAX_EXPONENT}") == oracle.inv(top)
+        for exp in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 10**9, "9" * 5000):
+            with pytest.raises(ParseError, match="exceeds"):
+                oracle.elem_from_text(f"g1^{exp}")

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from mcgseq.sequence import (
     spotted_lift,
 )
 from mcgseq.textio import parse_word
-from mcgseq.verify import random_word
+from mcgseq.verify import exactness_suite, random_word
 
 
 def _brute_wreath_compose(manifold, first, second):
@@ -203,6 +204,30 @@ class TestFactorDiscrepant:
     def test_rejects_non_kernel(self, mstar):
         with pytest.raises(NotDiscrepant):
             factor_discrepant(parse_word(mstar, "aut(1,tau)"))
+
+
+class TestExactnessSuite:
+    def test_non_abelian_mcg(self, s3_sign, caplog):
+        # S3 acting on Z/3 by the sign: eduction, lift and factoring must
+        # get the order of every aut product and swap right to pass
+        with caplog.at_level(logging.INFO, logger="mcgseq.verify"):
+            report = exactness_suite(s3_sign, max_len=2, mixed_len=3)
+        assert report["ok"], report["failures"][:5]
+        assert report["mixed_words"] == 93_196
+        assert report["kernel_words"] == 21_976
+        assert report["wreath_elements"] == 6**3 * 6
+        assert "20440 skipped as syntactically unchanged, 1536 compared" in (
+            caplog.text
+        )
+
+    def test_logs_skipped_and_compared_words(self, k2l1, caplog):
+        with caplog.at_level(logging.INFO, logger="mcgseq.verify"):
+            report = exactness_suite(k2l1, max_len=1, mixed_len=2)
+        assert report["kernel_words"] == 310
+        assert (
+            "exactness: 310 kernel words, 307 skipped as syntactically unchanged, "
+            "3 compared by action, 0 of them vacuous (both systems not laminar)"
+        ) in caplog.text
 
 
 class TestSpotted:

@@ -454,9 +454,79 @@ class TestSinglePassMatchesReference:
                 count += 1
         assert count == 99_499
 
-    @pytest.mark.parametrize("name", ["mstar", "k2l1", "mixed_types", "free_mcg"])
+    @pytest.mark.parametrize(
+        "name", ["mstar", "k2l1", "mixed_types", "free_mcg", "s3_sign"]
+    )
     def test_random_words_up_to_length_14(self, name, request):
         manifold = request.getfixturevalue(name)
         rng = random.Random(41)
         for _ in range(2000):
             _assert_matches_reference(random_word(manifold, rng, max_len=14))
+
+
+# ---------------------------------------------------------------------------
+# the fold of one composed image per letter, kept as the reference that the
+# in-place wreath fold of sequence.educe must equal
+
+
+def _ref_letter_image(manifold, letter):
+    """Eduction of a single non-discrepant letter."""
+    if isinstance(letter, w.Aut):
+        image = sequence.identity_image(manifold)
+        tokens = list(image.tokens)
+        tokens[letter.summand - 1] = letter.token
+        return sequence.EductionImage(image.perm, tuple(tokens))
+    if isinstance(letter, w.SwapIrr):
+        image = sequence.identity_image(manifold)
+        perm = list(image.perm)
+        perm[letter.a - 1], perm[letter.b - 1] = perm[letter.b - 1], perm[letter.a - 1]
+        return sequence.EductionImage(tuple(perm), image.tokens)
+    raise InvalidWord(f"unknown generator letter {letter!r}")
+
+
+def _ref_educe(word):
+    manifold = word.manifold
+    acc = sequence.identity_image(manifold)
+    for letter in word.letters:
+        if not w.is_discrepant_letter(letter):
+            acc = sequence.compose_images(
+                manifold, acc, _ref_letter_image(manifold, letter)
+            )
+    return acc
+
+
+class TestEduceMatchesReference:
+    def test_every_mixed_word_up_to_length_3_on_s3(self, s3_sign):
+        # mcg = S3 does not commute, so a product taken in the wrong order
+        # or a token collected at the wrong summand changes the image
+        alphabet = discrepant_alphabet(s3_sign) + nondiscrepant_alphabet(s3_sign)
+        count = 0
+        for length in range(4):
+            for combo in itertools.product(alphabet, repeat=length):
+                word = w.Word(s3_sign, combo)
+                assert sequence.educe(word) == _ref_educe(word), word_text(word)
+                count += 1
+        assert count == 93_196
+
+    @pytest.mark.parametrize("name", ["mstar", "mixed_types", "free_mcg", "s3_sign"])
+    def test_random_words_up_to_length_14(self, name, request):
+        manifold = request.getfixturevalue(name)
+        rng = random.Random(43)
+        for _ in range(2000):
+            word = random_word(manifold, rng, max_len=14)
+            assert sequence.educe(word) == _ref_educe(word), word_text(word)
+
+    def test_discrepant_word_returns_the_identity_itself(self, mstar):
+        word = parse_word(mstar, "slideIrr(1; x1) spin(1) twist(sep2)")
+        assert sequence.educe(word) is sequence.identity_image(mstar)
+
+    @pytest.mark.parametrize(
+        "letter", [w.Aut(0, "tau"), w.Aut(3, "tau"), w.SwapIrr(0, 1), w.SwapIrr(1, 3)]
+    )
+    def test_out_of_range_summand_raises(self, mstar, letter):
+        with pytest.raises(LookupError):
+            sequence.educe(w.Word(mstar, (letter,)))
+
+    def test_unknown_letter_raises(self, mstar):
+        with pytest.raises(InvalidWord):
+            sequence.educe(w.Word(mstar, ("not a letter",)))
