@@ -74,12 +74,10 @@ from .words import (
     normalize_word,
 )
 from .systems import (
-    ChamberWalk,
     act_system,
     family_dot,
     normalize_system,
     trace_assignment,
-    walk_of_slide,
 )
 from .sequence import (
     CapAut,

@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from . import fpgroup, sequence, systems, textio, verify
 from . import words as w
@@ -28,64 +27,24 @@ log = logging.getLogger("mcgseq")
 MAX_LEN_GUARD = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated invocation: command, input paths and suite parameters."""
-
-    command: str
-    manifold: str | None = None
-    family: str | None = None
-    word: str | None = None
-    assignment: str | None = None
-    image: str | None = None
-    element: str | None = None
-    format: str = "json"
-    seed: int = 7
-    max_len: int | None = None
-    allow_long: bool = False
-    case_limit: int | None = None
-    suite: str | None = None
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.format not in ("json", "text", "dot"):
-            raise ParseError(f"unknown format {self.format!r}")
-        if self.max_len is not None and self.max_len < 0:
-            raise ParseError(f"--max-len must be >= 0, got {self.max_len}")
-        if self.case_limit is not None and self.case_limit < 1:
-            raise ParseError(f"--case-limit must be >= 1, got {self.case_limit}")
-        if (
-            self.max_len is not None
-            and self.max_len > MAX_LEN_GUARD
-            and not self.allow_long
-        ):
-            raise ParseError(
-                f"--max-len {self.max_len} exceeds the default guard "
-                f"{MAX_LEN_GUARD}; pass --allow-long to override"
-            )
-        for path in (self.manifold, self.family, self.word, self.assignment,
-                     self.image):
-            if path is not None and not os.path.exists(path):
-                raise FileNotFoundError(f"input file not found: {path}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            manifold=args.manifold,
-            family=args.family,
-            word=args.word,
-            assignment=args.assignment,
-            image=args.image,
-            element=args.element,
-            format=args.format,
-            seed=args.seed,
-            max_len=args.max_len,
-            allow_long=args.allow_long,
-            case_limit=args.case_limit,
-            suite=getattr(args, "suite", None),
-            out=args.out,
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject suite parameters out of range and input files that do not exist."""
+    if args.max_len is not None and args.max_len < 0:
+        raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
+    if args.case_limit is not None and args.case_limit < 1:
+        raise ParseError(f"--case-limit must be >= 1, got {args.case_limit}")
+    if (
+        args.max_len is not None
+        and args.max_len > MAX_LEN_GUARD
+        and not args.allow_long
+    ):
+        raise ParseError(
+            f"--max-len {args.max_len} exceeds the default guard "
+            f"{MAX_LEN_GUARD}; pass --allow-long to override"
         )
+    for path in (args.manifold, args.family, args.word, args.assignment, args.image):
+        if path is not None and not os.path.exists(path):
+            raise FileNotFoundError(f"input file not found: {path}")
 
 
 def _read(path: str) -> str:
@@ -96,7 +55,7 @@ def _read(path: str) -> str:
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -108,25 +67,25 @@ def _emit_json(args, payload) -> None:
 
 
 def _load_manifold(args):
-    if not getattr(args, "manifold", None):
+    if not args.manifold:
         raise ParseError("this command needs --manifold")
     return textio.parse_manifold(_read(args.manifold))
 
 
 def _load_marking(args, command: str):
-    if not getattr(args, "manifold", None):
+    if not args.manifold:
         raise ParseError(f"{command} needs --manifold (a spotted marking file)")
     return textio.parse_spotted_marking(_read(args.manifold))
 
 
 def _load_family(args, manifold):
-    if not getattr(args, "family", None):
+    if not args.family:
         raise ParseError("this command needs --family")
     return textio.parse_family(_read(args.family))
 
 
 def _load_word(args, manifold):
-    if not getattr(args, "word", None):
+    if not args.word:
         raise ParseError("this command needs --word")
     return textio.parse_word(manifold, _read(args.word))
 
@@ -196,9 +155,13 @@ def cmd_educe(args):
 
 def cmd_lift(args):
     manifold = _load_manifold(args)
-    if getattr(args, "image", None):
-        image = textio.image_from_jsonable(manifold, json.loads(_read(args.image)))
-    elif getattr(args, "word", None):
+    if args.image:
+        try:
+            data = json.loads(_read(args.image))
+        except ValueError as exc:  # malformed JSON, or an integer of > 4,300 digits
+            raise ParseError(f"bad eduction image JSON: {exc}")
+        image = textio.image_from_jsonable(manifold, data)
+    elif args.word:
         image = sequence.educe(_load_word(args, manifold))
     else:
         raise ParseError("lift needs --image or --word")
@@ -238,7 +201,7 @@ def cmd_factor(args):
 def cmd_act_pi1(args):
     manifold = _load_manifold(args)
     word = _load_word(args, manifold)
-    if getattr(args, "element", None):
+    if args.element:
         u = textio.parse_fpword(manifold, args.element)
         result = fpgroup.act_pi1(manifold, word, u)
         _emit_json(args, {"result": textio.fpword_text(manifold, result)})
@@ -271,7 +234,7 @@ def cmd_act_system(args):
 def cmd_normalize_system(args):
     manifold = _load_manifold(args)
     family = _load_family(args, manifold)
-    if not getattr(args, "assignment", None):
+    if not args.assignment:
         raise ParseError("normalize-system needs --assignment")
     assignment = textio.parse_assignment(manifold, _read(args.assignment))
     word = systems.normalize_system(manifold, family, assignment)
@@ -307,7 +270,7 @@ def cmd_normalize_system(args):
 
 def cmd_spotted_educe(args):
     marking = _load_marking(args, "spotted-educe")
-    if not getattr(args, "word", None):
+    if not args.word:
         raise ParseError("spotted-educe needs --word")
     letters = textio.parse_spotted_word(marking, _read(args.word))
     cap, perm = sequence.spotted_educe(marking, letters)
@@ -413,9 +376,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = COMMANDS[args.command]
     try:
-        config = RunConfig.from_args(args)
+        _check_args(args)
         log.info("running %s", args.command)
-        return handler(config)
+        return handler(args)
     except ParseError as exc:
         json.dump({"error": {"kind": "parse", "message": str(exc)}}, sys.stdout)
         sys.stdout.write("\n")

@@ -258,12 +258,6 @@ class AutTable:
         return True
 
 
-def identity_table(manifold: PrimeDecomposition) -> AutTable:
-    return AutTable(
-        manifold, tuple((key, word) for key, word in generator_words(manifold))
-    )
-
-
 def aut_of_word(manifold: PrimeDecomposition, word) -> AutTable:
     images = []
     for key, gen_word in generator_words(manifold):
@@ -397,13 +391,6 @@ class AbAction:
             self.manifold,
             tuple((k, other.apply(img)) for k, img in self.images),
         )
-
-    def handle_matrix(self) -> list[list[int]]:
-        """The l x l integer matrix of the handle-to-handle part (row = image of x_j)."""
-        ell = self.manifold.ell
-        return [
-            list(self.image_of(("x", j))[1]) for j in range(1, ell + 1)
-        ]
 
 
 def identity_ab_action(manifold: PrimeDecomposition) -> AbAction:

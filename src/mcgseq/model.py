@@ -407,7 +407,7 @@ def _innermost(masks, bit: int) -> int:
 
 
 class Forest:
-    """Nesting forest of a canonical block tuple plus chamber bookkeeping.
+    """Nesting forest of a canonical block tuple.
 
     Chambers are identified with block indices (the region between a block
     and its children) plus ``ROOT`` for the region outside all blocks.
@@ -418,51 +418,20 @@ class Forest:
     def __init__(self, manifold: PrimeDecomposition, blocks: tuple[frozenset, ...]):
         self.manifold = manifold
         self.blocks = tuple(blocks)
-        self._masks, self._bits, self._full = _encode(manifold, self.blocks)
+        self._masks, self._bits, _ = _encode(manifold, self.blocks)
         self.parent: list[int] = _nesting_parents(self._masks)
-        self.children: dict[int, list[int]] = {ROOT: []}
-        for i in range(len(self.blocks)):
-            self.children[i] = []
-        for i, p in enumerate(self.parent):
-            self.children[p].append(i)
 
     def chamber_of_label(self, lab: Label) -> int:
         return _innermost(self._masks, self._bits.get(lab, 0))
 
-    def census(self, chamber: int) -> frozenset:
-        inside = self._full if chamber == ROOT else self._masks[chamber]
-        for c in self.children.get(chamber, []):
-            inside &= ~self._masks[c]
-        return _decode(self._bits, inside)
-
-    def path_between(self, a: int, b: int) -> list[int]:
-        """Block indices crossed walking from chamber a to chamber b."""
-
-        def to_root(c: int) -> list[int]:
-            out = []
-            while c != ROOT:
-                out.append(c)
-                c = self.parent[c]
-            return out
-
-        pa, pb = to_root(a), to_root(b)
-        sa, sb = set(pa), set(pb)
-        crossings = [c for c in pa if c not in sb] + [c for c in pb if c not in sa]
-        return crossings
-
 
 def _separates(manifold: PrimeDecomposition, mask: int) -> bool:
-    return all(mask & pair in (0, pair) for pair in manifold.handle_masks)
-
-
-def is_separating(manifold: PrimeDecomposition, block: frozenset) -> bool:
-    """True iff cutting W on this sphere disconnects W.
+    """True iff cutting W on the block's sphere disconnects W.
 
     A sphere separates iff no handle runs from inside to outside, i.e. the
     block contains both or neither end of every handle.
     """
-    bits = manifold.label_bits
-    return _separates(manifold, sum(bits.get(lab, 0) for lab in block))
+    return all(mask & pair in (0, pair) for pair in manifold.handle_masks)
 
 
 @dataclass(frozen=True)
@@ -478,12 +447,6 @@ class SystemClass:
     is_symmetric: bool
     summand_blocks: tuple[tuple[int, frozenset], ...] = ()  # (i, block) when symmetric
     nonsep_blocks: tuple[frozenset, ...] = ()
-
-    def summand_block_of(self, i: int) -> frozenset:
-        for idx, b in self.summand_blocks:
-            if idx == i:
-                return b
-        raise KeyError(i)
 
 
 def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool:
@@ -658,19 +621,14 @@ def _allowable(
     return True
 
 
-def summand_permutation(
-    manifold: PrimeDecomposition, family: LaminarFamily, assignment: Assignment
-) -> dict[int, int]:
-    """The summand permutation induced by an allowable assignment.
-
-    perm[i] = the summand whose one-holed piece the image of d(i) cuts off.
-    """
-    return _summand_permutation(manifold, classify_system(manifold, family), assignment)
-
-
 def _summand_permutation(
     manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
 ) -> dict[int, int]:
+    """The summand permutation induced by an allowable assignment onto a
+    family classified as ``cls``.
+
+    perm[i] = the summand whose one-holed piece the image of d(i) cuts off.
+    """
     summand_of_block = {b: i for i, b in cls.summand_blocks}
     perm = {}
     for i in range(1, manifold.k + 1):

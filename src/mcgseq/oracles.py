@@ -24,16 +24,36 @@ _NAME_RE = re.compile(r"^(?:1|[A-Za-z][A-Za-z0-9_']*)$")
 # expands to |n| letters, steps or multiplications.
 MAX_EXPONENT = 10_000
 
+# Largest index or count accepted in text: summand, handle, generator,
+# factor and spot indices, handle and spot counts, and the order or rank in
+# a group spec.  Labels, generators and group elements are built one by one
+# up to such a number.
+MAX_INDEX = 10_000
+
+
+def _exceeds(digits: str, bound: int) -> bool:
+    """Whether a decimal string, optionally signed, is above bound in absolute
+    value; the digit count is checked first, since ``int()`` refuses strings
+    of more than 4,300 digits."""
+    magnitude = digits.lstrip("-").lstrip("0")
+    return len(magnitude) > len(str(bound)) or int(magnitude or 0) > bound
+
 
 def parse_exponent(digits: str | None, term: str) -> int:
     """The exponent of a power term (1 when absent), at most MAX_EXPONENT."""
     if digits is None:
         return 1
-    magnitude = digits.lstrip("-").lstrip("0")
-    if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or 0) > MAX_EXPONENT:
+    if _exceeds(digits, MAX_EXPONENT):
         raise ParseError(
             f"exponent in {term!r} exceeds {MAX_EXPONENT} in absolute value"
         )
+    return int(digits)
+
+
+def parse_index(digits: str, term: str) -> int:
+    """An unsigned decimal index or count in ``term``, at most MAX_INDEX."""
+    if not digits.isdecimal() or _exceeds(digits, MAX_INDEX):
+        raise ParseError(f"expected a number from 0 to {MAX_INDEX} in {term!r}")
     return int(digits)
 
 
@@ -250,7 +270,7 @@ class FreeOracle(GroupOracle):
             m = re.fullmatch(r"g(\d+)(?:\^(-?\d+))?", part)
             if not m:
                 raise ParseError(f"bad free-group letter {part!r}")
-            g, exp = int(m.group(1)), parse_exponent(m.group(2), part)
+            g, exp = parse_index(m.group(1), part), parse_exponent(m.group(2), part)
             if not 1 <= g <= self.rank:
                 raise ParseError(f"generator g{g} out of range for F{self.rank}")
             sign = 1 if exp > 0 else -1
@@ -333,7 +353,7 @@ class FreeAbelianOracle(GroupOracle):
             m = re.fullmatch(r"g(\d+)(?:\^(-?\d+))?", part)
             if not m:
                 raise ParseError(f"bad Z^{self.rank} term {part!r}")
-            g, exp = int(m.group(1)), parse_exponent(m.group(2), part)
+            g, exp = parse_index(m.group(1), part), parse_exponent(m.group(2), part)
             if not 1 <= g <= self.rank:
                 raise ParseError(f"generator g{g} out of range for Z^{self.rank}")
             vec[g - 1] += exp
@@ -504,13 +524,13 @@ def parse_group_spec(text: str) -> GroupOracle:
     text = text.strip()
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
-        return CyclicOracle(int(m.group(1)))
+        return CyclicOracle(parse_index(m.group(1), text))
     m = re.fullmatch(r"F(\d+)", text)
     if m:
-        return FreeOracle(int(m.group(1)))
+        return FreeOracle(parse_index(m.group(1), text))
     m = re.fullmatch(r"Z\^(\d+)", text)
     if m:
-        return FreeAbelianOracle(int(m.group(1)))
+        return FreeAbelianOracle(parse_index(m.group(1), text))
     m = re.fullmatch(r"table\[([^;\]]*);(.*)\]", text)
     if m:
         names = tuple(n.strip() for n in m.group(1).split(","))

@@ -11,9 +11,8 @@ chamber and back, and an x_j teleport changes sides of b iff b holds
 exactly one end of handle j.  Hence b toggles iff ``popcount(b & P)`` is
 odd, where P is the union of the end pairs {e(j,+), e(j,-)} of the handles
 whose x_j letters occur an odd number of times in the path: one AND, one
-popcount and at most one XOR per block, with no forest and no walk.
-``walk_of_slide`` keeps the geometric reading as public API.  The other
-letters relabel: spins swap e(j,+) and e(j,-) everywhere, handle and
+popcount and at most one XOR per block, with no forest and no walk.  The
+other letters relabel: spins swap e(j,+) and e(j,-) everywhere, handle and
 summand interchanges swap label pairs, twists do nothing.
 
 ``normalize_system`` inverts this action: a breadth-first search over the
@@ -27,7 +26,6 @@ from __future__ import annotations
 import functools
 import logging
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     InvalidWord,
@@ -59,62 +57,6 @@ from .model import (
 from .textio import word_letter_text
 
 log = logging.getLogger("mcgseq.systems")
-
-
-# ---------------------------------------------------------------------------
-# chamber walks
-
-
-@dataclass(frozen=True)
-class ChamberWalk:
-    """The chambers visited by a slide path and the per-block crossing counts."""
-
-    chambers: tuple
-    crossings: tuple[tuple[int, int], ...]  # (block index, count)
-
-    def odd_blocks(self) -> frozenset:
-        return frozenset(i for i, n in self.crossings if n % 2 == 1)
-
-
-def walk_of_slide(
-    manifold: PrimeDecomposition, blocks: tuple[frozenset, ...], letter
-) -> ChamberWalk:
-    """Trace the slide path of a slide letter through the chamber forest."""
-    forest = Forest(manifold, blocks)
-    if isinstance(letter, w.SlideIrr):
-        start = forest.chamber_of_label(s_label(letter.summand))
-    elif isinstance(letter, w.SlideEnd):
-        start = forest.chamber_of_label(e_label(letter.handle, letter.sign))
-    elif isinstance(letter, w.SlideHandle):
-        start = forest.chamber_of_label(e_label(letter.handle, 1))
-    else:
-        raise InvalidWord(f"{letter!r} is not a slide letter")
-    counts: dict[int, int] = {}
-    visited = [start]
-    cur = start
-
-    def move_to(target: int):
-        nonlocal cur
-        for b in forest.path_between(cur, target):
-            counts[b] = counts.get(b, 0) + 1
-        cur = target
-        visited.append(target)
-
-    for lt in letter.path:
-        if lt[0] == "g":
-            # walk to the summand chamber and back: even crossings on the way
-            there = forest.chamber_of_label(s_label(lt[1]))
-            back = cur
-            move_to(there)
-            move_to(back)
-        else:
-            _, j, sign = lt
-            move_to(forest.chamber_of_label(e_label(j, sign)))
-            # teleport through the handle
-            cur = forest.chamber_of_label(e_label(j, -sign))
-            visited.append(cur)
-    move_to(start)
-    return ChamberWalk(tuple(visited), tuple(sorted(counts.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +209,6 @@ def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
 
 def _bfs_moves(manifold: PrimeDecomposition) -> list:
     """Single-handle-letter slides, spins and handle swaps, in canonical order."""
-    from .textio import word_letter_text
-
     moves = []
     ell, k = manifold.ell, manifold.k
     paths = []

@@ -21,7 +21,7 @@ from .model import (
     label_text,
     s_label,
 )
-from .oracles import OracleAut, parse_exponent, parse_group_spec
+from .oracles import OracleAut, parse_exponent, parse_group_spec, parse_index
 from .sequence import (
     CapAut,
     EductionImage,
@@ -101,20 +101,14 @@ def parse_manifold(text: str) -> PrimeDecomposition:
         elif parts[0] == "summand":
             if len(parts) != 3:
                 raise ParseError(f"bad summand line: {line!r}")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad summand index in {line!r}")
+            idx = parse_index(parts[1], line)
             if idx in summand_lines:
                 raise ParseError(f"duplicate summand index {idx}")
             summand_lines[idx] = parts[2]
         elif parts[0] == "handles":
             if len(parts) != 2:
                 raise ParseError(f"bad handles line: {line!r}")
-            try:
-                handles = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad handle count in {line!r}")
+            handles = parse_index(parts[1], line)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}")
     k = len(summand_lines)
@@ -139,6 +133,13 @@ def _act_text(t: HomeoType) -> str:
     return ";".join(entries)
 
 
+def _type_line_text(t: HomeoType) -> str:
+    """The ``type`` line read back by ``_parse_type_line``."""
+    line = f"type {t.name} pi1={t.pi1.spec_text()} mcg={t.mcg.spec_text()}"
+    act = _act_text(t)
+    return f"{line} act={act}" if act else line
+
+
 def manifold_text(manifold: PrimeDecomposition) -> str:
     lines = []
     seen = {}
@@ -148,12 +149,7 @@ def manifold_text(manifold: PrimeDecomposition) -> str:
         elif seen[t.name] != t:
             raise ParseError(f"two distinct types share the name {t.name!r}")
     for name in sorted(seen):
-        t = seen[name]
-        line = f"type {t.name} pi1={t.pi1.spec_text()} mcg={t.mcg.spec_text()}"
-        act = _act_text(t)
-        if act:
-            line += f" act={act}"
-        lines.append(line)
+        lines.append(_type_line_text(seen[name]))
     for i in range(1, manifold.k + 1):
         lines.append(f"summand {i} {manifold.type_of(i).name}")
     lines.append(f"handles {manifold.ell}")
@@ -167,10 +163,10 @@ def manifold_text(manifold: PrimeDecomposition) -> str:
 def parse_label(text: str):
     m = re.fullmatch(r"s(\d+)", text)
     if m:
-        return s_label(int(m.group(1)))
+        return s_label(parse_index(m.group(1), text))
     m = re.fullmatch(r"e(\d+)([+-])", text)
     if m:
-        return e_label(int(m.group(1)), 1 if m.group(2) == "+" else -1)
+        return e_label(parse_index(m.group(1), text), 1 if m.group(2) == "+" else -1)
     raise ParseError(f"bad label {text!r}")
 
 
@@ -223,14 +219,11 @@ def parse_fpword(manifold: PrimeDecomposition, text: str):
     for tok in tokens:
         m = re.fullmatch(r"x(\d+)(\^-1)?", tok)
         if m:
-            letters.append(("x", int(m.group(1)), -1 if m.group(2) else 1))
+            letters.append(("x", parse_index(m.group(1), tok), -1 if m.group(2) else 1))
             continue
         if "@" in tok:
             elem_text, _, factor_text = tok.rpartition("@")
-            try:
-                i = int(factor_text)
-            except ValueError:
-                raise ParseError(f"bad factor index in {tok!r}")
+            i = parse_index(factor_text, tok)
             if not 1 <= i <= manifold.k:
                 raise ParseError(f"factor index {i} out of range in {tok!r}")
             elem = manifold.type_of(i).pi1.elem_from_text(elem_text)
@@ -239,7 +232,7 @@ def parse_fpword(manifold: PrimeDecomposition, text: str):
         m = re.fullmatch(r"g(\d+)(?:\^(-?\d+))?", tok)
         if m:
             # shorthand: gN is the generator g1 of factor N
-            i = int(m.group(1))
+            i = parse_index(m.group(1), tok)
             if not 1 <= i <= manifold.k:
                 raise ParseError(f"factor index {i} out of range in {tok!r}")
             oracle = manifold.type_of(i).pi1
@@ -330,34 +323,34 @@ def _parse_letter(manifold: PrimeDecomposition, tok: str):
     m = re.fullmatch(r"slideIrr\((\d+);(.*)\)", tok)
     if m:
         path = parse_fpword(manifold, m.group(2).strip())
-        return w.SlideIrr(int(m.group(1)), path)
+        return w.SlideIrr(parse_index(m.group(1), tok), path)
     m = re.fullmatch(r"slideEnd\((\d+),([+-]);(.*)\)", tok)
     if m:
         path = parse_fpword(manifold, m.group(3).strip())
         return w.SlideEnd(
-            int(m.group(1)), 1 if m.group(2) == "+" else -1, path
+            parse_index(m.group(1), tok), 1 if m.group(2) == "+" else -1, path
         )
     m = re.fullmatch(r"slideHandle\((\d+);(.*)\)", tok)
     if m:
         path = parse_fpword(manifold, m.group(2).strip())
-        return w.SlideHandle(int(m.group(1)), path)
+        return w.SlideHandle(parse_index(m.group(1), tok), path)
     m = re.fullmatch(r"spin\((\d+)\)", tok)
     if m:
-        return w.Spin(int(m.group(1)))
+        return w.Spin(parse_index(m.group(1), tok))
     m = re.fullmatch(r"twist\((sep|nonsep|assoc)(\d+)\)", tok)
     if m:
-        return w.Twist((m.group(1), int(m.group(2))))
+        return w.Twist((m.group(1), parse_index(m.group(2), tok)))
     m = re.fullmatch(r"swapHandles\((\d+),(\d+)\)", tok)
     if m:
-        a, b = sorted((int(m.group(1)), int(m.group(2))))
+        a, b = sorted(parse_index(d, tok) for d in m.groups())
         return w.SwapHandles(a, b)
     m = re.fullmatch(r"swapIrr\((\d+),(\d+)\)", tok)
     if m:
-        a, b = sorted((int(m.group(1)), int(m.group(2))))
+        a, b = sorted(parse_index(d, tok) for d in m.groups())
         return w.SwapIrr(a, b)
     m = re.fullmatch(r"aut\((\d+),([^)]*)\)", tok)
     if m:
-        i = int(m.group(1))
+        i = parse_index(m.group(1), tok)
         if not 1 <= i <= manifold.k:
             raise ParseError(f"aut summand {i} out of range")
         token = manifold.type_of(i).mcg.elem_from_text(m.group(2).strip())
@@ -378,7 +371,7 @@ def parse_assignment(manifold: PrimeDecomposition, text: str) -> Assignment:
         m = re.fullmatch(r"d(\d+)([+-]?)", lhs)
         if not m:
             raise ParseError(f"bad duplicate token {lhs!r}")
-        idx = int(m.group(1))
+        idx = parse_index(m.group(1), lhs)
         if m.group(2):
             token = ("d", idx, 1 if m.group(2) == "+" else -1)
             if ":" not in rhs:
@@ -439,7 +432,7 @@ def image_from_jsonable(manifold: PrimeDecomposition, data: dict) -> EductionIma
             manifold.type_of(i).mcg.elem_from_text(data["tokens"][str(i)])
             for i in range(1, manifold.k + 1)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad eduction image JSON: {exc}")
     return EductionImage(perm, tokens)
 
@@ -464,7 +457,9 @@ def parse_spotted_marking(text: str) -> SpottedMarking:
         elif parts[0] == "spots":
             if len(parts) != 2:
                 raise ParseError(f"bad spots line: {line!r}")
-            spots = int(parts[1])
+            spots = parse_index(parts[1], line)
+            if spots < 1:
+                raise ParseError(f"a spotted marking needs at least one spot: {line!r}")
         else:
             raise ParseError(f"unknown directive {parts[0]!r}")
     if cap_name is None or spots is None or cap_name not in types:
@@ -474,11 +469,7 @@ def parse_spotted_marking(text: str) -> SpottedMarking:
 
 def spotted_marking_text(marking: SpottedMarking) -> str:
     t = marking.cap_type
-    line = f"type {t.name} pi1={t.pi1.spec_text()} mcg={t.mcg.spec_text()}"
-    act = _act_text(t)
-    if act:
-        line += f" act={act}"
-    return f"{line}\ncap {t.name}\nspots {marking.spots}\n"
+    return f"{_type_line_text(t)}\ncap {t.name}\nspots {marking.spots}\n"
 
 
 def parse_spotted_word(marking: SpottedMarking, text: str) -> list:
@@ -491,16 +482,16 @@ def parse_spotted_word(marking: SpottedMarking, text: str) -> list:
         m = re.fullmatch(r"spotSlide\((\d+);(.*)\)", tok)
         if m:
             path = marking.cap_type.pi1.elem_from_text(m.group(2).strip())
-            letters.append(SpotSlide(int(m.group(1)), path))
+            letters.append(SpotSlide(parse_index(m.group(1), tok), path))
             continue
         m = re.fullmatch(r"spotSwap\((\d+),(\d+)\)", tok)
         if m:
-            a, b = sorted((int(m.group(1)), int(m.group(2))))
+            a, b = sorted(parse_index(d, tok) for d in m.groups())
             letters.append(SpotSwap(a, b))
             continue
         m = re.fullmatch(r"spotTwist\((\d+)\)", tok)
         if m:
-            letters.append(SpotTwist(int(m.group(1))))
+            letters.append(SpotTwist(parse_index(m.group(1), tok)))
             continue
         m = re.fullmatch(r"capAut\(([^)]*)\)", tok)
         if m:

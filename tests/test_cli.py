@@ -2,7 +2,7 @@ import io
 import json
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,78 @@ def run_cli(*argv):
 
 def fx(name):
     return str(FIXTURES / name)
+
+
+# Malformed numbers: more than int()'s 4,300 digits, a negative handle count,
+# too few or non-numeric spots, an image that is not JSON or not finite.  Each case: the command, the text of each
+# input file by option, and any further arguments.
+BIG = "1" * 5000
+MSTAR = (FIXTURES / "mstar.txt").read_text()
+SPOTTED = (FIXTURES / "spotted.txt").read_text()
+WORD = "spin(1)\n"
+ONE_HANDLE = "type H pi1={} mcg=Z/1\nsummand 1 H\nhandles 1\n"
+MALFORMED_NUMBERS = [
+    pytest.param("classify", {"manifold": MSTAR, "family": f"block {{s{BIG}}}\n"},
+                 (), id="label-s"),
+    pytest.param("classify", {"manifold": MSTAR, "family": f"block {{e{BIG}+}}\n"},
+                 (), id="label-e"),
+    pytest.param("educe", {"manifold": MSTAR, "word": f"spin({BIG})\n"},
+                 (), id="word-letter"),
+    pytest.param("spotted-educe", {"manifold": SPOTTED, "word": f"spotSwap({BIG},1)\n"},
+                 (), id="spotted-letter"),
+    pytest.param(
+        "normalize-system",
+        {
+            "manifold": MSTAR,
+            "family": (FIXTURES / "family_standard.txt").read_text(),
+            "assignment": f"d{BIG} -> {{s1}}\n",
+        },
+        (),
+        id="assignment-token",
+    ),
+    pytest.param("act-pi1", {"manifold": MSTAR, "word": WORD},
+                 ("--element", f"x{BIG}"), id="pi1-x"),
+    pytest.param("act-pi1", {"manifold": MSTAR, "word": WORD},
+                 ("--element", f"g{BIG}"), id="pi1-g-shorthand"),
+    pytest.param("act-pi1", {"manifold": MSTAR, "word": WORD},
+                 ("--element", f"g1@{BIG}"), id="pi1-factor"),
+    pytest.param("act-pi1", {"manifold": ONE_HANDLE.format("F2"), "word": WORD},
+                 ("--element", f"g{BIG}@1"), id="free-generator"),
+    pytest.param("act-pi1", {"manifold": ONE_HANDLE.format("Z^2"), "word": WORD},
+                 ("--element", f"g{BIG}@1"), id="free-abelian-generator"),
+    pytest.param("educe", {"manifold": ONE_HANDLE.format(f"Z/{BIG}"), "word": WORD},
+                 (), id="group-spec"),
+    pytest.param(
+        "educe",
+        {"manifold": MSTAR.replace("summand 2", f"summand {BIG}"), "word": WORD},
+        (),
+        id="summand-index",
+    ),
+    pytest.param(
+        "educe",
+        {"manifold": MSTAR.replace("handles 2", "handles -1"), "word": WORD},
+        (),
+        id="handles-negative",
+    ),
+    pytest.param(
+        "spotted-educe",
+        {"manifold": SPOTTED.replace("spots 3", "spots 0"), "word": "e\n"},
+        (),
+        id="spots-zero",
+    ),
+    pytest.param(
+        "spotted-educe",
+        {"manifold": SPOTTED.replace("spots 3", "spots abc"), "word": "e\n"},
+        (),
+        id="spots-text",
+    ),
+    pytest.param("lift", {"manifold": MSTAR, "image": f'{{"perm": [{BIG}]}}'},
+                 (), id="image-digits"),
+    pytest.param("lift", {"manifold": MSTAR, "image": '{"perm": [1,'},
+                 (), id="image-json"),
+    pytest.param("lift", {"manifold": MSTAR, "image": '{"perm": [Infinity, 1]}'},
+                 (), id="image-infinity"),
+]
 
 
 class TestEduce:
@@ -265,6 +337,20 @@ class TestErrors:
         error = json.loads(out)["error"]
         assert error["kind"] == "parse"
         assert "exceeds 10000 in absolute value" in error["message"]
+
+    @pytest.mark.parametrize("command, files, extra", MALFORMED_NUMBERS)
+    def test_malformed_number_is_parse_error(self, tmp_path, command, files, extra):
+        argv = [command, *extra]
+        for option, text in files.items():
+            path = tmp_path / f"{option}.txt"
+            path.write_text(text)
+            argv += [f"--{option}", str(path)]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(*argv)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "parse"
+        assert "Traceback" not in err.getvalue()
 
     def test_max_len_guard(self):
         code, out = run_cli(

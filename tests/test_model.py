@@ -23,7 +23,6 @@ from mcgseq.model import (
     classify_system,
     e_label,
     identity_assignment,
-    is_separating,
     s_label,
     standard_system,
     validate_laminar,
@@ -304,7 +303,8 @@ class TestSeparating:
                 st.sets(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1)
             )
         )
-        assert is_separating(manifold, block) == _brute_force_separating(
+        cls = classify_system(manifold, LaminarFamily.of([block]))
+        assert cls.per_block[0].separating == _brute_force_separating(
             manifold, block
         )
 
@@ -358,9 +358,9 @@ class TestForest:
                 {e_label(2, 1)},
             ]
         )
-        forest = Forest(mstar, family.blocks)
-        censuses = [forest.census(i) for i in range(len(family.blocks))]
-        censuses.append(forest.census(ROOT))
+        cls = classify_system(mstar, family)
+        censuses = [info.census for info in cls.per_block]
+        censuses.append(frozenset(mstar.labels()).difference(*family.blocks))
         union = set()
         total = 0
         for c in censuses:

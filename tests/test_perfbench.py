@@ -1,0 +1,72 @@
+"""The benchmark harness uses package names that no other test reaches
+(``Forest``, ``act_letter_blocks``, ``identity_assignment``, ...): import
+every ``perfbench`` module, check every ``<module>.<name>`` it reads off a
+package module, and run the harness's own unit tests."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _run(*args):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(PERFBENCH), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    )
+
+
+def test_modules_import_and_unit_tests_pass():
+    modules = sorted(p.stem for p in PERFBENCH.glob("*.py"))
+    assert {"layers", "workloads", "run"} <= set(modules)
+    proc = _run("-c", "import " + ", ".join(modules))
+    assert proc.returncode == 0, proc.stderr
+    proc = _run("-m", "unittest", "discover", "-s", str(PERFBENCH / "tests"))
+    assert proc.returncode == 0, proc.stderr
+    assert "Ran 0 tests" not in proc.stderr
+
+
+def _attributes_read():
+    """(module, name) for each ``<alias>.<name>`` in perfbench where the alias
+    comes from ``from mcgseq import <module> [as <alias>]``."""
+    read = set()
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name: f"mcgseq.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "mcgseq"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                read.add((modules[node.value.id], node.attr))
+    return read
+
+
+def test_package_names_read_by_perfbench_exist():
+    read = _attributes_read()
+    assert ("mcgseq.systems", "act_letter_blocks") in read
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(read)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,15 @@ import pytest
 from mcgseq import build_manifold, fpgroup, model, sequence, systems, words as w
 from mcgseq.errors import (
     InvalidFamily,
+    InvalidWord,
     NotAllowable,
     NotLaminarAfterSlide,
     NotSymmetric,
 )
 from mcgseq.model import (
+    ROOT,
     Assignment,
+    Forest,
     LaminarFamily,
     classify_system,
     e_label,
@@ -26,7 +30,7 @@ from mcgseq.model import (
     standard_system,
     validate_laminar,
 )
-from mcgseq.systems import act_system, normalize_system, trace_assignment, walk_of_slide
+from mcgseq.systems import act_system, normalize_system, trace_assignment
 from mcgseq.textio import parse_family, parse_word, word_text
 from mcgseq.verify import (
     allowable_assignments,
@@ -139,6 +143,78 @@ def _parity_formula(manifold, blocks, letter):
         if parity % 2:
             odd.add(idx)
     return odd
+
+
+# ---------------------------------------------------------------------------
+# chamber walks: the geometric reading of a slide, the reference that the
+# closed-form crossing parity of systems._compile_letter is checked against
+
+
+class WalkForest(Forest):
+    def path_between(self, a: int, b: int) -> list[int]:
+        """Block indices crossed walking from chamber a to chamber b."""
+
+        def to_root(c: int) -> list[int]:
+            out = []
+            while c != ROOT:
+                out.append(c)
+                c = self.parent[c]
+            return out
+
+        pa, pb = to_root(a), to_root(b)
+        sa, sb = set(pa), set(pb)
+        crossings = [c for c in pa if c not in sb] + [c for c in pb if c not in sa]
+        return crossings
+
+
+@dataclass(frozen=True)
+class ChamberWalk:
+    """The chambers visited by a slide path and the per-block crossing counts."""
+
+    chambers: tuple
+    crossings: tuple[tuple[int, int], ...]  # (block index, count)
+
+    def odd_blocks(self) -> frozenset:
+        return frozenset(i for i, n in self.crossings if n % 2 == 1)
+
+
+def walk_of_slide(manifold, blocks: tuple[frozenset, ...], letter) -> ChamberWalk:
+    """Trace the slide path of a slide letter through the chamber forest."""
+    forest = WalkForest(manifold, blocks)
+    if isinstance(letter, w.SlideIrr):
+        start = forest.chamber_of_label(s_label(letter.summand))
+    elif isinstance(letter, w.SlideEnd):
+        start = forest.chamber_of_label(e_label(letter.handle, letter.sign))
+    elif isinstance(letter, w.SlideHandle):
+        start = forest.chamber_of_label(e_label(letter.handle, 1))
+    else:
+        raise InvalidWord(f"{letter!r} is not a slide letter")
+    counts: dict[int, int] = {}
+    visited = [start]
+    cur = start
+
+    def move_to(target: int):
+        nonlocal cur
+        for b in forest.path_between(cur, target):
+            counts[b] = counts.get(b, 0) + 1
+        cur = target
+        visited.append(target)
+
+    for lt in letter.path:
+        if lt[0] == "g":
+            # walk to the summand chamber and back: even crossings on the way
+            there = forest.chamber_of_label(s_label(lt[1]))
+            back = cur
+            move_to(there)
+            move_to(back)
+        else:
+            _, j, sign = lt
+            move_to(forest.chamber_of_label(e_label(j, sign)))
+            # teleport through the handle
+            cur = forest.chamber_of_label(e_label(j, -sign))
+            visited.append(cur)
+    move_to(start)
+    return ChamberWalk(tuple(visited), tuple(sorted(counts.items())))
 
 
 class TestChamberWalk:
