@@ -48,8 +48,13 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _emit(args, text: str) -> None:

@@ -18,14 +18,19 @@ summand interchanges swap label pairs, twists do nothing.
 ``normalize_system`` inverts this action: a breadth-first search over the
 finite reachable state space produces the lexicographically least shortest
 word carrying the standard system (with its duplicate tokens) onto a given
-symmetric family with a given allowable assignment.
+symmetric family with a given allowable assignment.  A state is the tuple
+of slot masks plus one spin bit per handle.  No move reads the bits, so the
+search index (``_Index``) interns each reachable tuple of handle-slot masks
+as an integer id, computes its row of move targets once, and keys each
+state by the integer ``id << l | bits``; the summand slots never move and
+are left out.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
-from collections import deque
 
 from .errors import (
     InvalidWord,
@@ -63,6 +68,7 @@ log = logging.getLogger("mcgseq.systems")
 # letters on block masks
 
 
+@functools.lru_cache(maxsize=4096)
 def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
     """A letter's action on block masks as ``(slid, parity, swaps)``.
 
@@ -234,63 +240,114 @@ def _bfs_moves(manifold: PrimeDecomposition) -> list:
     return moves
 
 
+class _Index:
+    """The normalization BFS index; ``len`` is the number of states.
+
+    ``moves`` holds the BFS moves in canonical order, and ``ids`` maps each
+    reachable tuple of handle-slot masks to its id, in discovery order.  A
+    state is the key ``id << l | bits``, where bit j-1 of ``bits`` is set
+    when the duplicates of handle j are spun.  ``parent`` maps each key, in
+    discovery order, to ``parent key * len(moves) + move number``; the
+    start key 0 maps to -1.
+    """
+
+    __slots__ = ("moves", "ids", "parent")
+
+    def __init__(self, moves: tuple, ids: dict, parent: dict):
+        self.moves, self.ids, self.parent = moves, ids, parent
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+
 @functools.lru_cache(maxsize=None)
-def _reachability(manifold: PrimeDecomposition) -> dict:
+def _reachability(manifold: PrimeDecomposition) -> _Index:
     """BFS the full (slot masks, spin bits) state space from the standard state.
 
-    Returns state -> (parent state, move letter); the start state maps to
-    (None, None).  Moves are tried in canonical text order, so the implied
-    word for every state is the lexicographically least among the shortest.
+    First the slot tuples: each reachable tuple of handle-slot masks gets
+    an id, and its row lists, per move that yields a laminar tuple, the
+    target id and the spin bit the move flips.  A row keeps only the first
+    move to each target state, since a later one can discover nothing.
+    Then a FIFO BFS over the keys ``id << l | bits`` follows the rows.
+    Moves are tried in canonical text order, so the implied word for every
+    state is the lexicographically least among the shortest; edges and
+    rejected slides are still counted per state and move.
     """
-    full = manifold.full_mask
-    moves = []
-    for mv in _bfs_moves(manifold):
-        spin = mv.handle - 1 if isinstance(mv, w.Spin) else -1
-        moves.append((mv, _compile_letter(manifold, mv), spin))
-    start = (_standard_slots(manifold), (False,) * manifold.ell)
-    seen: dict = {start: (None, None)}
-    queue = deque([start])
-    edges = rejected = 0
-    while queue:
-        state = queue.popleft()
-        slots, bits = state
-        for mv, compiled, spin in moves:
-            nslots = _apply(compiled, slots)
-            if compiled[0] and not is_laminar(nslots, full):
-                rejected += 1
+    full, k, ell = manifold.full_mask, manifold.k, manifold.ell
+    moves = tuple(_bfs_moves(manifold))
+    compiled = [_compile_letter(manifold, mv) for mv in moves]
+    flips = [1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0 for mv in moves]
+    # paths x_m and x_m^-1 have one parity, so several moves share a letter
+    copies = collections.Counter(compiled)
+    start = _standard_slots(manifold)[k:]
+    ids = {start: 0}
+    tuples = [start]  # the keys of ids, by id
+    shifted = [0]  # id << ell by id: the rows share these ints, not copies
+    rows = []  # per slot tuple: (move numbers, target id << ell | spin flip)
+    rejects = []  # per slot tuple: moves rejected as not laminar
+    for sid, slots in enumerate(tuples):
+        targets, rejected = {}, 0
+        for letter, n in copies.items():
+            nslots = _apply(letter, slots)
+            if letter[0] and not is_laminar(nslots, full):
+                rejected += n
                 continue
-            edges += 1
-            nbits = bits
-            if spin >= 0:
-                nbits = bits[:spin] + (not bits[spin],) + bits[spin + 1 :]
-            nstate = (nslots, nbits)
-            if nstate not in seen:
-                seen[nstate] = (state, mv)
-                queue.append(nstate)
+            tid = ids.setdefault(nslots, len(tuples))
+            if tid == len(tuples):
+                tuples.append(nslots)
+                shifted.append(tid << ell)
+            targets[letter] = shifted[tid]
+        # keep the first move to each target only: a later one, or one that
+        # returns to the state itself, never discovers a state
+        entries = {shifted[sid]: None}
+        for n, (letter, flip) in enumerate(zip(compiled, flips)):
+            if letter in targets:
+                target = targets[letter]  # shared unless a spin flips a bit
+                entries.setdefault(target | flip if flip else target, n)
+        del entries[shifted[sid]]
+        rows.append((tuple(entries.values()), tuple(entries)))
+        rejects.append(rejected)
+    width = len(moves)
+    parent = {0: -1}
+    queue = [0]
+    low = (1 << ell) - 1
+    for key in queue:
+        numbers, entries = rows[key >> ell]
+        bits, link = key & low, key * width
+        for n, entry in zip(numbers, entries):
+            nkey = entry ^ bits
+            if nkey not in parent:
+                parent[nkey] = link + n
+                queue.append(nkey)
+    rejected = sum(rejects[key >> ell] for key in queue)
     log.info(
-        "reachability index: %d states, %d edges, %d slides rejected as not "
-        "laminar, from the standard system",
-        len(seen),
-        edges,
+        "reachability index: %d states (%d slot tuples), %d edges, %d slides "
+        "rejected as not laminar, from the standard system",
+        len(parent),
+        len(ids),
+        len(parent) * width - rejected,
         rejected,
     )
-    return seen
+    return _Index(moves, ids, parent)
 
 
-def _target_state(manifold: PrimeDecomposition, assignment: Assignment):
-    """The BFS lookup state matching the assignment's handle part.
+def _target_state(
+    manifold: PrimeDecomposition, index: _Index, assignment: Assignment
+):
+    """The index key matching the assignment's handle part, or None.
 
-    The summand part is realized by the swapIrr prefix; the search space
-    keeps the summand slots at their standard singletons (discrepant moves
-    never change them), so the lookup uses those.
+    The summand part is realized by the swapIrr prefix; the search keeps
+    the summand slots at their standard singletons (discrepant moves never
+    change them), so the key reads only the handle slots and spin bits.
     """
-    slots = list(_standard_slots(manifold)[: manifold.k])
-    bits = []
+    slots, bits = [], 0
     for j in range(1, manifold.ell + 1):
         block, side = assignment.target_of(("d", j, 1))
         slots.append(manifold.mask_of(block))
-        bits.append(side == "out")
-    return (tuple(slots), tuple(bits))
+        if side == "out":
+            bits |= 1 << (j - 1)
+    tid = index.ids.get(tuple(slots))
+    return None if tid is None else tid << manifold.ell | bits
 
 
 def normalize_system(
@@ -317,20 +374,18 @@ def _normalize(
     # swapIrr letters do not touch handle labels or spin bits, so the search
     # index from the plain standard state answers every query
     index = _reachability(manifold)
-    target = _target_state(manifold, assignment)
-    if target not in index:
+    key = _target_state(manifold, index, assignment)
+    if key not in index.parent:
         raise Unreachable(
             "no slide/spin/swap word realizes the target family and "
             "assignment; model violation"
         )
     path = []
-    state = target
-    while True:
-        parent, mv = index[state]
-        if mv is None:
-            break
-        path.append(mv)
-        state = parent
+    link = index.parent[key]
+    while link >= 0:
+        key, n = divmod(link, len(index.moves))
+        path.append(index.moves[n])
+        link = index.parent[key]
     path.reverse()
     return w.Word.of(manifold, tuple(prefix) + tuple(path))
 

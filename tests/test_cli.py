@@ -352,6 +352,24 @@ class TestErrors:
         assert json.loads(out)["error"]["kind"] == "parse"
         assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("option", ["manifold", "word"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, option):
+        files = {"manifold": fx("mstar.txt"), "word": fx("word_aut.txt")}
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        files[option] = str(bad)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(
+                "educe", "--manifold", files["manifold"], "--word", files["word"]
+            )
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "parse",
+            "message": f"{bad} is not UTF-8 text: invalid start byte at byte 0",
+        }
+        assert "Traceback" not in err.getvalue()
+
     def test_max_len_guard(self):
         code, out = run_cli(
             "verify",

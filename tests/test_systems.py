@@ -325,6 +325,55 @@ def _reference_reachability(manifold):
     return seen
 
 
+def _tuple_reachability(manifold):
+    """The mask BFS keyed by (slot masks, spin bits) tuples, move by move:
+    the reference for the interned index of systems._reachability."""
+    full = manifold.full_mask
+    moves = []
+    for mv in systems._bfs_moves(manifold):
+        spin = mv.handle - 1 if isinstance(mv, w.Spin) else -1
+        moves.append((mv, systems._compile_letter(manifold, mv), spin))
+    start = (systems._standard_slots(manifold), (False,) * manifold.ell)
+    seen = {start: (None, None)}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        slots, bits = state
+        for mv, compiled, spin in moves:
+            nslots = systems._apply(compiled, slots)
+            if compiled[0] and not model.is_laminar(nslots, full):
+                continue
+            nbits = bits
+            if spin >= 0:
+                nbits = bits[:spin] + (not bits[spin],) + bits[spin + 1 :]
+            nstate = (nslots, nbits)
+            if nstate not in seen:
+                seen[nstate] = (state, mv)
+                queue.append(nstate)
+    return seen
+
+
+def _decode_index(manifold, index):
+    """The interned index as state -> (parent state, move letter), states
+    as (slot masks, spin bits) tuples, in discovery order."""
+    summands = systems._standard_slots(manifold)[: manifold.k]
+    tuples = list(index.ids)
+    ell = manifold.ell
+
+    def state(key):
+        bits = tuple(bool(key >> j & 1) for j in range(ell))
+        return (summands + tuples[key >> ell], bits)
+
+    decoded = {}
+    for key, link in index.parent.items():
+        if link < 0:
+            decoded[state(key)] = (None, None)
+        else:
+            parent, n = divmod(link, len(index.moves))
+            decoded[state(key)] = (state(parent), index.moves[n])
+    return decoded
+
+
 def _random_laminar_blocks(manifold, rng):
     """A random laminar block tuple, in random order, often with parallel copies."""
     labels = manifold.labels()
@@ -377,7 +426,7 @@ class TestBitsetCore:
 
     def test_bfs_matches_reference(self):
         manifold = _ladder(1, 2)
-        index = systems._reachability(manifold)
+        index = _decode_index(manifold, systems._reachability(manifold))
 
         def blocks(state):
             if state is None:
@@ -388,9 +437,29 @@ class TestBitsetCore:
         converted = [(blocks(s), (blocks(p), mv)) for s, (p, mv) in index.items()]
         assert converted == list(_reference_reachability(manifold).items())
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_index_matches_tuple_bfs(self, k):
+        manifold = _ladder(k, 2)
+        index = _decode_index(manifold, systems._reachability(manifold))
+        assert list(index.items()) == list(_tuple_reachability(manifold).items())
+
     @pytest.mark.parametrize("k, states", [(1, 864), (2, 2592), (3, 7776)])
     def test_state_counts(self, k, states):
         assert len(systems._reachability(_ladder(k, 2))) == states
+
+    def test_slot_tuples_at_three_handles(self):
+        index = systems._reachability(_ladder(0, 3))
+        assert len(index) == 98_304
+        assert len(index.ids) == 12_288
+
+    def test_logs_counts(self, mstar, caplog):
+        # the uncached search, so the line is logged whatever ran before
+        with caplog.at_level(logging.INFO, logger="mcgseq.systems"):
+            systems._reachability.__wrapped__(mstar)
+        assert (
+            "reachability index: 2592 states (648 slot tuples), 38112 edges, "
+            "21504 slides rejected as not laminar, from the standard system"
+        ) in caplog.text
 
     def test_letter_fold_matches_walk_parity(self, mstar):
         rng = random.Random(67)
