@@ -2,11 +2,12 @@
 """Run perfbench on two checkouts in alternating pairs and record every run.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH.json \\
-        [--workload NAME ...] [--pairs 10] [--first-seed 1] [--seconds 60]
+        [--workload NAME ...] [--first-seed 1]
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, with one
-seed, as a subprocess; the parent goes first in even pairs and the change in
-odd ones, so a slow spell of the host hits both sides alike.  Pair i of
+Each of the ten pairs per workload runs ``perfbench/run.py --trace 0`` once
+in each checkout, as a subprocess, with one seed and the ``run_seconds`` of
+``BENCHMARK.json``; the parent goes first in even pairs and the change in odd
+ones, so a slow spell of the host hits both sides alike.  Pair i of
 every workload uses seed ``first-seed + i``.  The output file holds, per
 run, the workload, seed, side, its place in the pair, the exit code and the
 final JSON line that run.py prints.  A summary of each end-to-end metric
@@ -26,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -77,18 +79,15 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload in BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args()
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     runs = []
     for workload in workloads:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for place, side in enumerate(sides):

@@ -28,7 +28,6 @@ are left out.
 
 from __future__ import annotations
 
-import collections
 import functools
 import logging
 
@@ -68,7 +67,6 @@ log = logging.getLogger("mcgseq.systems")
 # letters on block masks
 
 
-@functools.lru_cache(maxsize=4096)
 def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
     """A letter's action on block masks as ``(slid, parity, swaps)``.
 
@@ -265,61 +263,48 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     """BFS the full (slot masks, spin bits) state space from the standard state.
 
     First the slot tuples: each reachable tuple of handle-slot masks gets
-    an id, and its row lists, per move that yields a laminar tuple, the
-    target id and the spin bit the move flips.  A row keeps only the first
-    move to each target state, since a later one can discover nothing.
-    Then a FIFO BFS over the keys ``id << l | bits`` follows the rows.
-    Moves are tried in canonical text order, so the implied word for every
-    state is the lexicographically least among the shortest; edges and
-    rejected slides are still counted per state and move.
+    an id, and its row holds, per move in canonical order, the target id
+    shifted left by l with the spin bit the move flips, or -1 where a slide
+    breaks laminarity.  Then a FIFO BFS over the keys ``id << l | bits``
+    follows the rows, moves in canonical text order, so the implied word
+    for every state is the lexicographically least among the shortest.
     """
     full, k, ell = manifold.full_mask, manifold.k, manifold.ell
     moves = tuple(_bfs_moves(manifold))
-    compiled = [_compile_letter(manifold, mv) for mv in moves]
-    flips = [1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0 for mv in moves]
-    # paths x_m and x_m^-1 have one parity, so several moves share a letter
-    copies = collections.Counter(compiled)
+    compiled = [
+        (_compile_letter(manifold, mv),
+         1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0)
+        for mv in moves
+    ]
     start = _standard_slots(manifold)[k:]
     ids = {start: 0}
     tuples = [start]  # the keys of ids, by id
-    shifted = [0]  # id << ell by id: the rows share these ints, not copies
-    rows = []  # per slot tuple: (move numbers, target id << ell | spin flip)
-    rejects = []  # per slot tuple: moves rejected as not laminar
-    for sid, slots in enumerate(tuples):
-        targets, rejected = {}, 0
-        for letter, n in copies.items():
+    rows = []  # by id
+    for slots in tuples:
+        row = []
+        for letter, flip in compiled:
             nslots = _apply(letter, slots)
             if letter[0] and not is_laminar(nslots, full):
-                rejected += n
+                row.append(-1)
                 continue
             tid = ids.setdefault(nslots, len(tuples))
             if tid == len(tuples):
                 tuples.append(nslots)
-                shifted.append(tid << ell)
-            targets[letter] = shifted[tid]
-        # keep the first move to each target only: a later one, or one that
-        # returns to the state itself, never discovers a state
-        entries = {shifted[sid]: None}
-        for n, (letter, flip) in enumerate(zip(compiled, flips)):
-            if letter in targets:
-                target = targets[letter]  # shared unless a spin flips a bit
-                entries.setdefault(target | flip if flip else target, n)
-        del entries[shifted[sid]]
-        rows.append((tuple(entries.values()), tuple(entries)))
-        rejects.append(rejected)
+            row.append(tid << ell | flip)
+        rows.append(row)
     width = len(moves)
     parent = {0: -1}
     queue = [0]
     low = (1 << ell) - 1
     for key in queue:
-        numbers, entries = rows[key >> ell]
         bits, link = key & low, key * width
-        for n, entry in zip(numbers, entries):
-            nkey = entry ^ bits
-            if nkey not in parent:
-                parent[nkey] = link + n
-                queue.append(nkey)
-    rejected = sum(rejects[key >> ell] for key in queue)
+        for n, target in enumerate(rows[key >> ell]):
+            if target >= 0:
+                nkey = target ^ bits
+                if nkey not in parent:
+                    parent[nkey] = link + n
+                    queue.append(nkey)
+    rejected = sum(rows[key >> ell].count(-1) for key in queue)
     log.info(
         "reachability index: %d states (%d slot tuples), %d edges, %d slides "
         "rejected as not laminar, from the standard system",
