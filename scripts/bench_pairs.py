@@ -11,8 +11,9 @@ ones, so a slow spell of the host hits both sides alike.  Pair i of
 every workload uses seed ``first-seed + i``.  The output file holds, per
 run, the workload, seed, side, its place in the pair, the exit code and the
 final JSON line that run.py prints.  A summary of each end-to-end metric
-that ``BENCHMARK.json`` lists (parent median and quartiles, change median,
-pairs the change wins) goes to stdout.
+that ``BENCHMARK.json`` lists (each side's median and quartiles, pairs the
+change wins), after a count of each side's runs that failed a check, goes
+to stdout.
 
 A parent checkout can be made with ``git archive``:
 
@@ -44,15 +45,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
         return proc.returncode, {"error": proc.stderr.strip()[-2000:]}
 
 
+def _median_quartiles(values) -> str:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{statistics.median(values):.6g} [{q1:.6g}, {q3:.6g}]"
+
+
 def summary(runs: list, metrics: list) -> list:
-    """One line per (workload, metric): parent median [quartiles], change
-    median, and the pairs in which the change is better."""
+    """Per workload, one line counting the runs of each side that failed a
+    check (``correct`` false or ``failed`` above 0), then one line per
+    metric: each side's median [quartiles] and the pairs in which the
+    change is better."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        bad = {
+            side: sum(
+                not r["result"].get("correct") or r["result"].get("failed", 0) > 0
+                for r in mine if r["side"] == side
+            )
+            for side in ("parent", "change")
+        }
+        total = {side: sum(r["side"] == side for r in mine) for side in bad}
+        out.append(
+            f"{workload}: runs with correct false or failed > 0: parent "
+            f"{bad['parent']}/{total['parent']}, change {bad['change']}/{total['change']}"
+        )
         pairs = {}
-        for r in runs:
-            if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"].get("metrics", {})
+        for r in mine:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["result"].get("metrics", {})
         for m in metrics:
             name = m["name"]
             both = [(p["parent"][name]["value"], p["change"][name]["value"])
@@ -63,11 +83,9 @@ def summary(runs: list, metrics: list) -> list:
             parent, change = zip(*both)
             sign = 1 if m["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in both)
-            q1, _, q3 = statistics.quantiles(parent, n=4)
             out.append(
-                f"{workload} {name}: parent {statistics.median(parent):.6g} "
-                f"[{q1:.6g}, {q3:.6g}], change {statistics.median(change):.6g}, "
-                f"change better in {wins}/{len(both)}"
+                f"{workload} {name}: parent {_median_quartiles(parent)}, "
+                f"change {_median_quartiles(change)}, change better in {wins}/{len(both)}"
             )
     return out
 

@@ -61,7 +61,7 @@ def main() -> int:
         lengths = collections.Counter()
         for _fam, cls in symmetric:
             for assignment in allowable_assignments(manifold, cls):
-                word = _normalize(manifold, cls, assignment)
+                word = _normalize(manifold, cls.nonsep_blocks, assignment)
                 lengths[len(word)] += 1
         print(f"certificate lengths ({time.time() - t0:.1f}s):")
         for length in sorted(lengths):

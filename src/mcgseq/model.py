@@ -154,8 +154,10 @@ class PrimeDecomposition:
 
     A label is a bit in ``labels()`` order and a block is an ``int`` mask
     over those bits.  The label order, the masks of L and of each handle's
-    two ends, and the hash are derived once, here: the dataclass hash would
-    rehash every nested summand type on each call.
+    two ends, the duplicate tokens and the hash are derived once, here: the
+    dataclass hash would rehash every nested summand type on each call.
+    ``block_of`` memoizes its frozensets in a dict keyed by the mask's part
+    inside L, so it holds at most one entry per subset of L.
     """
 
     summands: tuple[HomeoType, ...]
@@ -164,6 +166,8 @@ class PrimeDecomposition:
     label_bits: dict = field(init=False, repr=False, compare=False, default=None)
     full_mask: int = field(init=False, repr=False, compare=False, default=0)
     handle_masks: tuple = field(init=False, repr=False, compare=False, default=())
+    duplicate_tokens: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _blocks: dict = field(init=False, repr=False, compare=False, default=None)
     _hash: int = field(init=False, repr=False, compare=False, default=0)
     # the identity of H(V), built on first use by sequence.identity_image
     _identity_image: object = field(init=False, repr=False, compare=False, default=None)
@@ -184,6 +188,12 @@ class PrimeDecomposition:
             "label_bits": {lab: 1 << n for n, lab in enumerate(labels)},
             "full_mask": (1 << len(labels)) - 1,
             "handle_masks": tuple(3 << (k + 2 * j) for j in range(self.handles)),
+            # the duplicate tokens an assignment maps (see Assignment)
+            "duplicate_tokens": frozenset(
+                [("d", i) for i in range(1, k + 1)]
+                + [("d", j, s) for j in range(1, self.handles + 1) for s in (1, -1)]
+            ),
+            "_blocks": {},
             "_hash": hash((self.summands, self.handles)),
         }
         for name, value in derived.items():
@@ -221,7 +231,14 @@ class PrimeDecomposition:
             raise InvalidFamily(_unknown_label_message(self, frozenset(block)))
 
     def block_of(self, mask: int) -> frozenset:
-        return _decode(self.label_bits, mask)
+        """The block of labels in L whose bits the mask sets."""
+        mask &= self.full_mask
+        block = self._blocks.get(mask)
+        if block is None:
+            block = self._blocks[mask] = frozenset(
+                lab for lab, bit in self.label_bits.items() if mask & bit
+            )
+        return block
 
     def type_classes(self) -> list[list[int]]:
         """Summand indices grouped by shared HomeoType, in index order."""
@@ -316,10 +333,6 @@ def _encode(manifold: PrimeDecomposition, blocks) -> tuple[list[int], dict, int]
     return [sum(map(bits.__getitem__, b)) for b in blocks], bits, full
 
 
-def _decode(bits: dict, mask: int) -> frozenset:
-    return frozenset(lab for lab, bit in bits.items() if mask & bit)
-
-
 def validate_laminar(manifold: PrimeDecomposition, blocks) -> LaminarReport:
     """Check the laminar family invariants; returns diagnostics, never raises."""
     blocks = [frozenset(b) for b in blocks]
@@ -400,10 +413,13 @@ def _nesting_parents(masks) -> list[int]:
 
 def _innermost(masks, bit: int) -> int:
     """The chamber holding a label: its smallest block, the latest among equals."""
-    containing = [i for i, m in enumerate(masks) if m & bit]
-    if not containing:
-        return ROOT
-    return min(containing, key=lambda i: (masks[i].bit_count(), -i))
+    best, size = ROOT, 0
+    for i, m in enumerate(masks):
+        if m & bit:
+            count = m.bit_count()
+            if best == ROOT or count <= size:
+                best, size = i, count
+    return best
 
 
 class Forest:
@@ -451,25 +467,28 @@ class SystemClass:
 
 def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool:
     """Cutting on every block and regluing e(j,+)~e(j,-) leaves the
-    non-summand chambers connected, each handle joining two of them."""
-    bits = manifold.label_bits
-    nodes = {ROOT} | {i for i, m in enumerate(masks) if m not in summand_masks}
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for j in range(1, manifold.ell + 1):
-        a = _innermost(masks, bits[e_label(j, 1)])
-        b = _innermost(masks, bits[e_label(j, -1)])
-        if a not in nodes or b not in nodes or a == b:
+    non-summand chambers connected, each handle joining two of them.
+
+    A union-find over the chamber ids, ``ROOT`` and the indices of the
+    non-summand blocks, that counts the pieces left.  No handle end lies
+    in a summand block, since those are the singletons {s(i)}.
+    """
+    root = {i: i for i, m in enumerate(masks) if m not in summand_masks}
+    root[ROOT] = ROOT
+    pieces = len(root)
+    for pair in manifold.handle_masks:
+        plus = pair & -pair  # e(j,+); e(j,-) is the next bit
+        a, b = _innermost(masks, plus), _innermost(masks, pair ^ plus)
+        if a == b:
             return False
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {ROOT}
-    stack = [ROOT]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen == nodes
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a != b:
+            root[a] = b
+            pieces -= 1
+    return pieces == 1
 
 
 def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
@@ -486,7 +505,7 @@ def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
     distinct = set(masks)
     if not len(distinct) == len(masks) == k + ell:
         return False
-    singles = {manifold.label_bits[s_label(i)] for i in range(1, k + 1)}
+    singles = {1 << n for n in range(k)}  # {s(1)}, ..., {s(k)}
     # the singletons separate; no other block may
     if not singles <= distinct or any(
         _separates(manifold, m) for m in distinct - singles
@@ -580,23 +599,27 @@ def allowable(
     cls = classify_system(manifold, family)
     if not cls.is_symmetric:
         raise NotSymmetric("allowable assignments target symmetric systems only")
-    return _allowable(manifold, cls, assignment)
+    return _allowable(manifold, cls.nonsep_blocks, assignment)
+
+
+def _summand_blocks(manifold: PrimeDecomposition) -> dict:
+    """The summand blocks {s(i)} of every symmetric system, to i."""
+    return {manifold.block_of(1 << (i - 1)): i for i in range(1, manifold.k + 1)}
 
 
 def _allowable(
-    manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
+    manifold: PrimeDecomposition, nonsep_blocks, assignment: Assignment
 ) -> bool:
-    """allowable() onto a family already classified as symmetric."""
+    """allowable() onto a symmetric family with these non-separating blocks.
+
+    The blocks stay frozensets, so a target block with a label outside L
+    is simply not one of them.
+    """
     mapping = assignment.as_dict()
-    expected_tokens = {("d", i) for i in range(1, manifold.k + 1)} | {
-        ("d", j, s)
-        for j in range(1, manifold.ell + 1)
-        for s in (1, -1)
-    }
-    if set(mapping) != expected_tokens:
+    if mapping.keys() != manifold.duplicate_tokens:
         return False
-    summand_of_block = {b: i for i, b in cls.summand_blocks}
-    nonsep = set(cls.nonsep_blocks)
+    summand_of_block = _summand_blocks(manifold)
+    nonsep = set(nonsep_blocks)
     hit = set()
     for i in range(1, manifold.k + 1):
         block, side = mapping[("d", i)]
@@ -622,14 +645,13 @@ def _allowable(
 
 
 def _summand_permutation(
-    manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
+    manifold: PrimeDecomposition, assignment: Assignment
 ) -> dict[int, int]:
-    """The summand permutation induced by an allowable assignment onto a
-    family classified as ``cls``.
+    """The summand permutation induced by an allowable assignment.
 
     perm[i] = the summand whose one-holed piece the image of d(i) cuts off.
     """
-    summand_of_block = {b: i for i, b in cls.summand_blocks}
+    summand_of_block = _summand_blocks(manifold)
     perm = {}
     for i in range(1, manifold.k + 1):
         block, _ = assignment.target_of(("d", i))

@@ -23,7 +23,10 @@ of slot masks plus one spin bit per handle.  No move reads the bits, so the
 search index (``_Index``) interns each reachable tuple of handle-slot masks
 as an integer id, computes its row of move targets once, and keys each
 state by the integer ``id << l | bits``; the summand slots never move and
-are left out.
+are left out.  A query decides symmetry on the family's masks, with no
+classification, and the search moves are validated once, when the index
+is built, so a certificate is assembled from them without checking each
+letter again.
 """
 
 from __future__ import annotations
@@ -45,19 +48,19 @@ from .model import (
     LaminarFamily,
     PrimeDecomposition,
     ROOT,
-    SystemClass,
     _allowable,
     _is_symmetric,
     _summand_permutation,
     block_text,
-    classify_system,
     e_label,
     family_masks,
     is_laminar,
     label_text,
+    mask_key,
     s_label,
     validate_laminar,
 )
+from .sequence import perm_transpositions
 from .textio import word_letter_text
 
 log = logging.getLogger("mcgseq.systems")
@@ -149,7 +152,8 @@ def act_system(
     masks = family_masks(manifold, family.blocks)
     for letter in word.letters:
         masks = _act_masks(manifold, letter, masks)
-    return LaminarFamily.of(map(manifold.block_of, masks))
+    # mask_key sorts masks as block_key sorts their blocks: no re-sort
+    return LaminarFamily(tuple(map(manifold.block_of, sorted(masks, key=mask_key))))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,8 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     for every state is the lexicographically least among the shortest.
     """
     full, k, ell = manifold.full_mask, manifold.k, manifold.ell
-    moves = tuple(_bfs_moves(manifold))
+    # validated once, here, so certificates built from them need no check
+    moves = w.Word.of(manifold, _bfs_moves(manifold)).letters
     compiled = [
         (_compile_letter(manifold, mv),
          1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0)
@@ -340,22 +345,31 @@ def normalize_system(
 ) -> w.Word:
     """A word of slides/spins/handle swaps (plus a swapIrr prefix when the
     assignment permutes summands) carrying the standard system onto the
-    family with the given duplicate correspondence."""
-    return _normalize(manifold, classify_system(manifold, family), assignment)
+    family with the given duplicate correspondence.
+
+    Symmetry is decided on the family's masks; the summand blocks of a
+    symmetric family are the singletons {s(i)} and the others are its
+    non-separating blocks, so no classification is needed.
+    """
+    masks = family_masks(manifold, family.blocks)
+    if not _is_symmetric(manifold, masks):
+        raise NotSymmetric("normalization target must be a symmetric system")
+    k = manifold.k  # bits k and up are handle ends
+    nonsep = tuple(b for b, m in zip(family.blocks, masks) if m >> k)
+    return _normalize(manifold, nonsep, assignment)
 
 
 def _normalize(
-    manifold: PrimeDecomposition, cls: SystemClass, assignment: Assignment
+    manifold: PrimeDecomposition, nonsep_blocks, assignment: Assignment
 ) -> w.Word:
-    """``normalize_system`` onto a family already classified as ``cls``."""
-    if not cls.is_symmetric:
-        raise NotSymmetric("normalization target must be a symmetric system")
-    if not _allowable(manifold, cls, assignment):
+    """``normalize_system`` onto a symmetric family with these
+    non-separating blocks."""
+    if not _allowable(manifold, nonsep_blocks, assignment):
         raise NotAllowable("assignment is not allowable onto the target family")
-    perm = _summand_permutation(manifold, cls, assignment)
-    from .sequence import perm_transpositions
-
-    prefix = [w.SwapIrr(a, b) for a, b in perm_transpositions(perm)]
+    perm = _summand_permutation(manifold, assignment)
+    prefix = tuple(w.SwapIrr(a, b) for a, b in perm_transpositions(perm))
+    for letter in prefix:
+        w.check_letter(manifold, letter)
     # swapIrr letters do not touch handle labels or spin bits, so the search
     # index from the plain standard state answers every query
     index = _reachability(manifold)
@@ -372,7 +386,8 @@ def _normalize(
         path.append(index.moves[n])
         link = index.parent[key]
     path.reverse()
-    return w.Word.of(manifold, tuple(prefix) + tuple(path))
+    # the moves were validated when the index was built
+    return w.Word(manifold, prefix + tuple(path))
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
         for assignment in allowable_assignments(manifold, cls):
             assignments += 1
             try:
-                word = systems._normalize(manifold, cls, assignment)
+                word = systems._normalize(manifold, cls.nonsep_blocks, assignment)
             except Exception as exc:  # Unreachable or any defect
                 unreachable += 1
                 failures.append(

@@ -1,11 +1,14 @@
 import io
 import json
+import re
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcgseq.cli import main
 
@@ -505,3 +508,90 @@ class TestDeterminism:
         code2, out2 = run_cli(*argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+# Mutations of the fixture texts: drop, duplicate or swap lines, replace the
+# n-th label of a line (labels outside L included), swap in and out.
+LABEL = re.compile(r"(?<![a-z])[se]\d+[+-]?")
+FUZZ_LABELS = ("s1", "s2", "s3", "e1+", "e1-", "e2+", "e2-", "e3+")
+MUTATION = st.tuples(
+    st.sampled_from(("drop", "duplicate", "swap", "label", "side")),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.sampled_from(FUZZ_LABELS),
+)
+
+
+def _mutate(text, mutations):
+    lines = text.splitlines()
+    for op, i, j, label in mutations:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "label":
+            found = list(LABEL.finditer(lines[i]))
+            if found:
+                m = found[j % len(found)]
+                lines[i] = lines[i][: m.start()] + label + lines[i][m.end() :]
+        else:
+            lines[i] = re.sub(
+                r":(in|out)\b", lambda m: ":out" if m[1] == "in" else ":in", lines[i]
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _run_fuzzed(command, texts):
+    """cli.main in-process on files holding the texts; exit code, stdout
+    and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--manifold", fx("mstar.txt")]
+        for option, text in texts.items():
+            path = Path(tmp) / f"{option}.txt"
+            path.write_text(text, encoding="utf-8")
+            argv += [f"--{option}", str(path)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_structured(code, out, err):
+    assert code in (0, 1, 2)
+    json.loads(out)  # exactly one JSON document
+    assert "Traceback" not in err
+
+
+class TestFuzzedInputs:
+    """Mutated family and assignment texts give structured JSON with exit
+    code 0, 1 or 2, never a traceback."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from((("family_slid.txt", "assignment_slid.txt"),
+                         ("family_standard.txt", "assignment_identity.txt"))),
+        st.lists(MUTATION, max_size=4),
+        st.lists(MUTATION, max_size=4),
+    )
+    def test_normalize_system(self, names, family_mutations, assignment_mutations):
+        family, assignment = ((FIXTURES / n).read_text() for n in names)
+        _assert_structured(*_run_fuzzed("normalize-system", {
+            "family": _mutate(family, family_mutations),
+            "assignment": _mutate(assignment, assignment_mutations),
+        }))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(("family_slid.txt", "family_standard.txt")),
+        st.lists(MUTATION, max_size=4),
+    )
+    def test_classify(self, name, mutations):
+        family = (FIXTURES / name).read_text()
+        _assert_structured(
+            *_run_fuzzed("classify", {"family": _mutate(family, mutations)})
+        )

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcgseq import build_manifold
+from mcgseq import build_manifold, model
 from mcgseq.errors import (
     InvalidFamily,
     NotReducible,
@@ -235,6 +235,108 @@ class TestClassify:
         )
         with pytest.raises(InvalidFamily):
             classify_system(k2l1, family)
+
+
+def _reference_innermost(masks, bit):
+    containing = [i for i, m in enumerate(masks) if m & bit]
+    if not containing:
+        return ROOT
+    return min(containing, key=lambda i: (masks[i].bit_count(), -i))
+
+
+def _reference_handles_connect(manifold, masks, summand_masks):
+    """Adjacency sets and a depth-first search over the non-summand
+    chambers: the reference for the union-find in model._handles_connect."""
+    bits = manifold.label_bits
+    nodes = {ROOT} | {i for i, m in enumerate(masks) if m not in summand_masks}
+    adj = {n: set() for n in nodes}
+    for j in range(1, manifold.ell + 1):
+        a = _reference_innermost(masks, bits[e_label(j, 1)])
+        b = _reference_innermost(masks, bits[e_label(j, -1)])
+        if a not in nodes or b not in nodes or a == b:
+            return False
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {ROOT}
+    stack = [ROOT]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen == nodes
+
+
+def _reference_is_symmetric(manifold, masks):
+    k, ell = manifold.k, manifold.ell
+    distinct = set(masks)
+    if not len(distinct) == len(masks) == k + ell:
+        return False
+    singles = {manifold.label_bits[s_label(i)] for i in range(1, k + 1)}
+    if not singles <= distinct or any(
+        model._separates(manifold, m) for m in distinct - singles
+    ):
+        return False
+    return not ell or _reference_handles_connect(manifold, masks, singles)
+
+
+def _laminar_mask_tuples(manifold, size):
+    """Every laminar tuple of ``size`` distinct block masks, in the order of
+    ``combinations`` of the blocks."""
+    labels = manifold.labels()
+    blocks = [
+        manifold.mask_of(combo)
+        for r in range(1, len(labels))
+        for combo in itertools.combinations(labels, r)
+    ]
+
+    def extend(chosen, start):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for i in range(start, len(blocks)):
+            b = blocks[i]
+            if all(a & b in (0, a, b) for a in chosen):
+                yield from extend(chosen + (b,), i + 1)
+
+    return extend((), 0)
+
+
+class TestSymmetryOnMasks:
+    SHAPES = [(2, 2), (0, 3), (3, 1), (2, 1), (0, 2), (1, 2)]
+
+    def test_matches_reference_on_every_candidate(self):
+        candidates = symmetric = 0
+        for k, ell in self.SHAPES:
+            manifold = generic_manifold(k, ell)
+            singles = {1 << n for n in range(k)}
+            for masks in _laminar_mask_tuples(manifold, k + ell):
+                candidates += 1
+                expected = _reference_is_symmetric(manifold, masks)
+                symmetric += expected
+                assert model._is_symmetric(manifold, masks) == expected, masks
+                assert model._is_symmetric(manifold, masks[::-1]) == expected, masks
+                assert model._handles_connect(
+                    manifold, masks, singles
+                ) == _reference_handles_connect(manifold, masks, singles), masks
+        assert (candidates, symmetric) == (24_955, 2_540)
+
+    def test_parallel_copies_match_reference(self):
+        # a copy of a summand block leaves fewer chambers than handles plus
+        # one, so a handle with both ends in one chamber is decisive
+        checked = connected = 0
+        for k, ell in self.SHAPES:
+            manifold = generic_manifold(k, ell)
+            singles = {1 << n for n in range(k)}
+            for masks in _laminar_mask_tuples(manifold, k + ell - 1):
+                for copy in masks:
+                    tup = masks + (copy,)
+                    checked += 1
+                    expected = _reference_handles_connect(manifold, tup, singles)
+                    connected += expected
+                    assert model._handles_connect(manifold, tup, singles) == expected
+                    assert not model._is_symmetric(manifold, tup)
+        assert checked == 20_148 and connected > 0
 
 
 class TestAssociatedSeparating:

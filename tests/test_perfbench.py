@@ -1,10 +1,12 @@
 """The benchmark harness uses package names that no other test reaches
 (``Forest``, ``act_letter_blocks``, ``identity_assignment``, ...): import
 every ``perfbench`` module, check every ``<module>.<name>`` it reads off a
-package module, and run the harness's own unit tests."""
+package module, and run the harness's own unit tests.  The summary of
+``scripts/bench_pairs.py`` is checked on a synthetic run list."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -70,3 +72,34 @@ def test_package_names_read_by_perfbench_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    def run(seed, side, value, correct=True, failed=0):
+        metrics = {"op_p50_ms": {"value": value, "unit": "ms"}}
+        return {"workload": "census", "seed": seed, "side": side,
+                "result": {"correct": correct, "failed": failed, "metrics": metrics}}
+
+    runs = [
+        run(1, "parent", 2.0), run(1, "change", 1.0),
+        run(2, "change", 1.5, failed=3), run(2, "parent", 3.0),
+        run(3, "parent", 4.0, correct=False), run(3, "change", 5.0),
+        run(4, "change", 2.0), run(4, "parent", 5.0),
+    ]
+    lines = _bench_pairs().summary(
+        runs, [{"name": "op_p50_ms", "better": "lower"}, {"name": "absent"}]
+    )
+    assert lines == [
+        "census: runs with correct false or failed > 0: parent 1/4, change 1/4",
+        "census op_p50_ms: parent 3.5 [2.25, 4.75], change 1.75 [1.125, 4.25], "
+        "change better in 3/4",
+    ]

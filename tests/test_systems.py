@@ -14,9 +14,11 @@ from mcgseq import build_manifold, fpgroup, model, sequence, systems, words as w
 from mcgseq.errors import (
     InvalidFamily,
     InvalidWord,
+    McgseqError,
     NotAllowable,
     NotLaminarAfterSlide,
     NotSymmetric,
+    Unreachable,
 )
 from mcgseq.model import (
     ROOT,
@@ -699,6 +701,119 @@ class TestNormalize:
         first = normalize_system(mstar, family, assignment)
         second = normalize_system(mstar, family, assignment)
         assert word_text(first) == word_text(second)
+
+
+def _reference_allowable(manifold, cls, assignment):
+    """allowable() onto a family classified as ``cls``, token set built
+    per call."""
+    mapping = assignment.as_dict()
+    expected_tokens = {("d", i) for i in range(1, manifold.k + 1)} | {
+        ("d", j, s) for j in range(1, manifold.ell + 1) for s in (1, -1)
+    }
+    if set(mapping) != expected_tokens:
+        return False
+    summand_of_block = {b: i for i, b in cls.summand_blocks}
+    nonsep = set(cls.nonsep_blocks)
+    hit = set()
+    for i in range(1, manifold.k + 1):
+        block, side = mapping[("d", i)]
+        if side is not None or block not in summand_of_block:
+            return False
+        if manifold.type_of(summand_of_block[block]) != manifold.type_of(i):
+            return False
+        if (block, None) in hit:
+            return False
+        hit.add((block, None))
+    for j in range(1, manifold.ell + 1):
+        bp, sp = mapping[("d", j, 1)]
+        bm, sm = mapping[("d", j, -1)]
+        if bp != bm or bp not in nonsep or {sp, sm} != {"in", "out"}:
+            return False
+        if (bp, sp) in hit or (bm, sm) in hit:
+            return False
+        hit.add((bp, sp))
+        hit.add((bm, sm))
+    return True
+
+
+def _reference_normalize(manifold, family, assignment):
+    """normalize_system through classify_system, every letter checked by
+    Word.of: the reference for the mask-level query."""
+    cls = classify_system(manifold, family)
+    if not cls.is_symmetric:
+        raise NotSymmetric("normalization target must be a symmetric system")
+    if not _reference_allowable(manifold, cls, assignment):
+        raise NotAllowable("assignment is not allowable onto the target family")
+    summand_of_block = {b: i for i, b in cls.summand_blocks}
+    perm = {
+        i: summand_of_block[assignment.target_of(("d", i))[0]]
+        for i in range(1, manifold.k + 1)
+    }
+    prefix = [w.SwapIrr(a, b) for a, b in sequence.perm_transpositions(perm)]
+    index = systems._reachability(manifold)
+    key = systems._target_state(manifold, index, assignment)
+    if key not in index.parent:
+        raise Unreachable("no slide/spin/swap word realizes the target")
+    path = []
+    link = index.parent[key]
+    while link >= 0:
+        key, n = divmod(link, len(index.moves))
+        path.append(index.moves[n])
+        link = index.parent[key]
+    return w.Word.of(manifold, tuple(prefix) + tuple(reversed(path)))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except McgseqError as exc:
+        return type(exc)
+
+
+class TestNormalizeOnMasks:
+    def test_same_certificates_as_reference(self, mstar):
+        pairs = 0
+        for family, cls in enumerate_symmetric(mstar)[0]:
+            for assignment in allowable_assignments(mstar, cls):
+                pairs += 1
+                word = normalize_system(mstar, family, assignment)
+                assert word == _reference_normalize(mstar, family, assignment)
+                assert w.Word.of(mstar, word.letters) == word
+        assert pairs == 5184
+
+    def test_same_error_kinds_as_reference(self, mstar, mixed_types):
+        std = standard_system(mstar)
+        ident = identity_assignment(mstar)
+        stray = ident.as_dict()
+        block = frozenset({e_label(3, 1)})  # a label outside L
+        stray[("d", 1, 1)], stray[("d", 1, -1)] = (block, "in"), (block, "out")
+        repeated = ident.as_dict()
+        repeated[("d", 1, -1)] = (frozenset({e_label(1, 1)}), "in")
+        on_summand = ident.as_dict()  # handle duplicates on a summand block
+        block = frozenset({s_label(1)})
+        on_summand[("d", 1, 1)], on_summand[("d", 1, -1)] = (block, "in"), (block, "out")
+        mixed = identity_assignment(mixed_types).as_dict()
+        mixed[("d", 1)] = (frozenset({s_label(3)}), None)
+        mixed[("d", 3)] = (frozenset({s_label(1)}), None)
+        cases = [
+            (
+                mstar,
+                fam("block {s1,e1+}\nblock {s2,e1+}\nblock {e2+}\nblock {s1}"),
+                ident,
+                InvalidFamily,
+            ),
+            (mstar, fam("block {s1}\nblock {s2}\nblock {s1,s2}\nblock {e1+}"),
+             ident, NotSymmetric),
+            (mstar, std, Assignment.of(stray), NotAllowable),
+            (mstar, std, Assignment.of(repeated), NotAllowable),
+            (mstar, std, Assignment.of(on_summand), NotAllowable),
+            (mixed_types, standard_system(mixed_types), Assignment.of(mixed),
+             NotAllowable),
+        ]
+        for manifold, family, assignment, kind in cases:
+            got = _outcome(normalize_system, manifold, family, assignment)
+            assert got is kind
+            assert _outcome(_reference_normalize, manifold, family, assignment) is kind
 
 
 class TestNormalizationCompleteness:
