@@ -4,7 +4,9 @@
 Enumerates every laminar family with k+l blocks over the manifold's label
 universe, classifies it, and reports how many are symmetric, how many
 allowable assignments they carry, the BFS state-space size, and the
-distribution of certificate lengths.
+distribution of certificate lengths.  With ``--lengths`` an assignment that
+the BFS cannot reach (with one handle the mirror half is unreachable) is
+counted and reported after the histogram instead of ending the run.
 """
 
 import argparse
@@ -14,13 +16,14 @@ import time
 from pathlib import Path
 
 from mcgseq import textio
+from mcgseq.errors import Unreachable
 from mcgseq.systems import _normalize, _reachability
 from mcgseq.verify import allowable_assignments, enumerate_symmetric
 
 DEFAULT_MANIFOLD = Path(__file__).resolve().parent.parent / "fixtures" / "mstar.txt"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--manifold", default=str(DEFAULT_MANIFOLD), help="manifold file"
@@ -30,7 +33,7 @@ def main() -> int:
         action="store_true",
         help="also normalize every case and histogram the word lengths",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     manifold = textio.parse_manifold(Path(args.manifold).read_text())
     print(f"manifold: k={manifold.k}, l={manifold.ell}, |L|={len(manifold.labels())}")
@@ -59,13 +62,19 @@ def main() -> int:
     if args.lengths:
         t0 = time.time()
         lengths = collections.Counter()
+        unreachable = 0
         for _fam, cls in symmetric:
             for assignment in allowable_assignments(manifold, cls):
-                word = _normalize(manifold, cls.nonsep_blocks, assignment)
+                try:
+                    word = _normalize(manifold, cls.nonsep_blocks, assignment)
+                except Unreachable:
+                    unreachable += 1
+                    continue
                 lengths[len(word)] += 1
         print(f"certificate lengths ({time.time() - t0:.1f}s):")
         for length in sorted(lengths):
             print(f"  {length:2d}: {lengths[length]}")
+        print(f"unreachable: {unreachable}")
     return 0
 
 

@@ -153,22 +153,37 @@ def lift(manifold: PrimeDecomposition, image: EductionImage) -> w.Word:
 
 
 def is_discrepant(word: w.Word) -> bool:
-    """True iff the word educes to the identity of H(V)."""
-    return educe(word) == identity_image(word.manifold)
+    """True iff the word educes to the identity of H(V).
+
+    ``educe`` hands back the manifold's identity image itself for a word
+    without aut or swapIrr letters, so that case skips the field-by-field
+    comparison.
+    """
+    image = educe(word)
+    identity = identity_image(word.manifold)
+    return image is identity or image == identity
 
 
 def factor_discrepant(word: w.Word) -> w.Word:
     """Rewrite a kernel word over the discrepant alphabet only.
 
     Normalizes to (discrepant)(aut)(swapIrr), checks via the oracles that
-    the trailing segment evaluates to the identity, and deletes it.
+    the trailing segment evaluates to the identity, and deletes it.  A word
+    without aut or swapIrr letters, the one case in which ``educe`` returns
+    the identity image itself, is returned unchanged and skips the rewrite:
+    its normal form is its own letters in order with an empty trailing
+    segment, so the rewrite would rebuild an equal word.
     """
-    if not is_discrepant(word):
-        raise NotDiscrepant("word does not educe to the identity")
     manifold = word.manifold
+    identity = identity_image(manifold)
+    image = educe(word)
+    if image is identity:
+        return word
+    if image != identity:
+        raise NotDiscrepant("word does not educe to the identity")
     head, auts, swaps = w._segments(word)
     tail = auts + swaps
-    if tail and educe(w.Word(manifold, tuple(tail))) != identity_image(manifold):
+    if tail and educe(w.Word(manifold, tuple(tail))) != identity:
         raise OracleError(
             "normalize_word produced a non-trivial trailing segment for a "
             "kernel word"

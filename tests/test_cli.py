@@ -546,6 +546,29 @@ def _mutate(text, mutations):
     return "\n".join(lines) + "\n"
 
 
+# Word texts are fuzzed one letter per line, so that the line mutations
+# drop, repeat and reorder letters; each edit then cuts a line short or
+# inserts an index, an inverse or a stray character into it.
+WORD_LETTER = re.compile(r"\w+\([^)]*\)")
+WORD_EDIT = st.tuples(
+    st.integers(0, 15),
+    st.integers(0, 40),
+    st.sampled_from(("cut", "0", "3", "99", "^-1", "(", ")", ",", "x")),
+)
+
+
+def _edit(text, edits):
+    lines = text.splitlines()
+    for i, pos, insert in edits:
+        if not lines:
+            break
+        i = i % len(lines)
+        line = lines[i]
+        pos = pos % (len(line) + 1)
+        lines[i] = line[:pos] if insert == "cut" else line[:pos] + insert + line[pos:]
+    return "\n".join(lines) + "\n"
+
+
 def _run_fuzzed(command, texts):
     """cli.main in-process on files holding the texts; exit code, stdout
     and stderr."""
@@ -568,8 +591,8 @@ def _assert_structured(code, out, err):
 
 
 class TestFuzzedInputs:
-    """Mutated family and assignment texts give structured JSON with exit
-    code 0, 1 or 2, never a traceback."""
+    """Mutated family, assignment and word texts give structured JSON with
+    exit code 0, 1 or 2, never a traceback."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -595,3 +618,20 @@ class TestFuzzedInputs:
         _assert_structured(
             *_run_fuzzed("classify", {"family": _mutate(family, mutations)})
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from((("word_aut.txt",), ("word_slide.txt",),
+                         ("word_slide.txt", "word_aut.txt"))),
+        st.lists(MUTATION, max_size=4),
+        st.lists(WORD_EDIT, max_size=3),
+    )
+    @pytest.mark.parametrize("command", ["educe", "kernel-test", "factor"])
+    def test_word_commands(self, command, names, mutations, edits):
+        text = "\n".join(
+            letter
+            for name in names
+            for letter in WORD_LETTER.findall((FIXTURES / name).read_text())
+        )
+        word = _edit(_mutate(text, mutations), edits)
+        _assert_structured(*_run_fuzzed(command, {"word": word}))

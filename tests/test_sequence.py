@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mcgseq import fpgroup, systems, words as w
-from mcgseq.errors import NotDiscrepant, TypeMismatch
+from mcgseq.errors import InvalidWord, NotDiscrepant, OracleError, TypeMismatch
 from mcgseq.model import standard_system
 from mcgseq.oracles import wreath_elements
 from mcgseq.sequence import (
@@ -204,6 +204,77 @@ class TestFactorDiscrepant:
     def test_rejects_non_kernel(self, mstar):
         with pytest.raises(NotDiscrepant):
             factor_discrepant(parse_word(mstar, "aut(1,tau)"))
+
+
+def _count_segments(monkeypatch):
+    """Spy on words._segments; the returned list grows by one per call."""
+    calls = []
+    segments = w._segments
+
+    def spy(word):
+        calls.append(word)
+        return segments(word)
+
+    monkeypatch.setattr(w, "_segments", spy)
+    return calls
+
+
+class TestFactorFastPath:
+    def test_discrepant_only_word_is_its_own_factorization(self, mstar, monkeypatch):
+        calls = _count_segments(monkeypatch)
+        word = parse_word(
+            mstar, "slideIrr(1; x1) spin(2) twist(sep1) swapHandles(1,2) spin(2)"
+        )
+        assert factor_discrepant(word) == word
+        assert is_discrepant(word)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("mstar", "slideIrr(2; x1) aut(1,tau) slideEnd(1,+; g1@1) aut(1,tau)"),
+            ("mstar", "swapIrr(1,2) slideIrr(1; g1@2 x1) swapIrr(1,2) twist(sep1)"),
+            ("s3_sign", "aut(1,r) slideIrr(2; g1@1) aut(1,s)"),
+            ("s3_sign", "swapIrr(1,3) twist(sep3) swapIrr(1,3)"),
+        ],
+    )
+    def test_cancelling_aut_and_swap_letters_take_the_rewrite(
+        self, name, text, request, monkeypatch
+    ):
+        manifold = request.getfixturevalue(name)
+        word = parse_word(manifold, text)
+        calls = _count_segments(monkeypatch)
+        factored = factor_discrepant(word)
+        assert calls == [word]
+        assert factored.letters
+        assert all(w.is_discrepant_letter(lt) for lt in factored.letters)
+        assert fpgroup.aut_of_word(manifold, word) == fpgroup.aut_of_word(
+            manifold, factored
+        )
+
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            ("not a letter",),
+            (w.Spin(1), "not a letter"),
+            (w.Aut(1, "tau"), "not a letter", w.Aut(1, "tau")),
+        ],
+    )
+    def test_unknown_letter_raises_invalid_word(self, mstar, letters):
+        word = w.Word(mstar, letters)
+        with pytest.raises(InvalidWord):
+            is_discrepant(word)
+        with pytest.raises(InvalidWord):
+            factor_discrepant(word)
+
+    def test_non_trivial_trailing_segment_raises(self, mstar, monkeypatch):
+        # a rewrite that leaves aut(1,tau) behind on a kernel word is caught
+        # by the oracle check of the trailing segment
+        monkeypatch.setattr(
+            w, "_segments", lambda word: ([w.Spin(1)], [w.Aut(1, "tau")], [])
+        )
+        with pytest.raises(OracleError):
+            factor_discrepant(parse_word(mstar, "aut(1,tau) aut(1,tau)"))
 
 
 class TestExactnessSuite:

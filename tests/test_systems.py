@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import logging
 import os
@@ -537,6 +538,32 @@ class TestEnumerateSymmetric:
             for ln in lines
         )
         assert any(ln.startswith("allowable assignments: 5184 total ") for ln in lines)
+
+    def test_census_script_lengths_on_one_handle(self, tmp_path, capsys):
+        # with l = 1 the mirror half of the assignments is unreachable: the
+        # script counts those cases instead of stopping with a traceback
+        from conftest import K2L1_TEXT
+
+        spec = importlib.util.spec_from_file_location(
+            "enumerate_symmetric", ROOT_DIR / "scripts" / "enumerate_symmetric.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        manifold_file = tmp_path / "k2l1.txt"
+        manifold_file.write_text(K2L1_TEXT)
+        assert script.main(["--manifold", str(manifold_file), "--lengths"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def line_at(prefix):
+            return next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+
+        total = int(lines[line_at("allowable assignments: ")].split()[2])
+        start, end = line_at("certificate lengths"), line_at("unreachable: ")
+        reached = sum(int(ln.split(":")[1]) for ln in lines[start + 1 : end])
+        missed = int(lines[end].split(": ")[1])
+        assert end == len(lines) - 1
+        assert 0 < missed < total
+        assert reached + missed == total
 
     def test_suites_script_quick(self):
         proc = _run_script("run_suites.py", "--quick")

@@ -455,6 +455,33 @@ class TestSinglePassMatchesReference:
         assert count == 99_499
 
     @pytest.mark.parametrize(
+        "name, count", [("s3_sign", 93_196), ("free_mcg", 135_304)]
+    )
+    def test_kernel_on_every_mixed_word_up_to_length_3(self, name, count, request):
+        # non-abelian mcgs: the kernel test against the reference eduction,
+        # then the factorization of every kernel word and the error kind of
+        # every other word
+        manifold = request.getfixturevalue(name)
+        identity = sequence.identity_image(manifold)
+        alphabet = discrepant_alphabet(manifold) + nondiscrepant_alphabet(manifold)
+        seen = 0
+        for length in range(4):
+            for combo in itertools.product(alphabet, repeat=length):
+                word = w.Word(manifold, combo)
+                in_kernel = _ref_educe(word) == identity
+                assert sequence.is_discrepant(word) == in_kernel, word_text(word)
+                # off the kernel, the reference's first step raises
+                expected = (
+                    _factor_outcome(_ref_factor_discrepant, word)
+                    if in_kernel else NotDiscrepant
+                )
+                assert _factor_outcome(
+                    sequence.factor_discrepant, word
+                ) == expected, word_text(word)
+                seen += 1
+        assert seen == count
+
+    @pytest.mark.parametrize(
         "name", ["mstar", "k2l1", "mixed_types", "free_mcg", "s3_sign"]
     )
     def test_random_words_up_to_length_14(self, name, request):
