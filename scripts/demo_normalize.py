@@ -27,8 +27,8 @@ def main() -> int:
 
     manifold = textio.parse_manifold(Path(args.manifold).read_text())
     symmetric, _ = enumerate_symmetric(manifold)
-    family, cls = symmetric[args.family_index % len(symmetric)]
-    assignments = list(allowable_assignments(manifold, cls))
+    family, nonsep = symmetric[args.family_index % len(symmetric)]
+    assignments = list(allowable_assignments(manifold, nonsep))
     assignment = assignments[args.assignment_index % len(assignments)]
 
     print("target family:")

@@ -2,8 +2,9 @@
 """Census of symmetric sphere systems and normalization reachability.
 
 Enumerates every laminar family with k+l blocks over the manifold's label
-universe, classifies it, and reports how many are symmetric, how many
-allowable assignments they carry, the BFS state-space size, and the
+universe, decides on its masks whether it is symmetric, and reports how
+many are, how many allowable assignments they carry (read off each
+family's non-separating blocks), the BFS state-space size, and the
 distribution of certificate lengths.  With ``--lengths`` an assignment that
 the BFS cannot reach (with one handle the mirror half is unreachable) is
 counted and reported after the histogram instead of ending the run.
@@ -52,8 +53,8 @@ def main(argv=None) -> int:
 
     per_family = collections.Counter()
     total = 0
-    for _fam, cls in symmetric:
-        n = sum(1 for _ in allowable_assignments(manifold, cls))
+    for _fam, nonsep in symmetric:
+        n = sum(1 for _ in allowable_assignments(manifold, nonsep))
         per_family[n] += 1
         total += n
     print(f"allowable assignments: {total} total "
@@ -63,10 +64,10 @@ def main(argv=None) -> int:
         t0 = time.time()
         lengths = collections.Counter()
         unreachable = 0
-        for _fam, cls in symmetric:
-            for assignment in allowable_assignments(manifold, cls):
+        for _fam, nonsep in symmetric:
+            for assignment in allowable_assignments(manifold, nonsep):
                 try:
-                    word = _normalize(manifold, cls.nonsep_blocks, assignment)
+                    word = _normalize(manifold, nonsep, assignment)
                 except Unreachable:
                     unreachable += 1
                     continue

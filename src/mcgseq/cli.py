@@ -181,11 +181,11 @@ def cmd_lift(args):
 def cmd_kernel_test(args):
     manifold = _load_manifold(args)
     word = _load_word(args, manifold)
-    image = sequence.educe(word)
+    image = sequence.educe(word)  # once: the kernel test is image == identity
     _emit_json(
         args,
         {
-            "discrepant": sequence.is_discrepant(word),
+            "discrepant": image == sequence.identity_image(manifold),
             "eduction": textio.image_to_jsonable(manifold, image),
         },
     )

@@ -514,6 +514,17 @@ def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
     return not ell or _handles_connect(manifold, masks, singles)
 
 
+def _symmetric_nonsep_blocks(manifold: PrimeDecomposition, blocks):
+    """A symmetric family's non-separating blocks, in order, or None when
+    the laminar family is not symmetric (``family_masks`` raises on one
+    that is not laminar).  Its other blocks are the singletons {s(i)}, so
+    these are the blocks with a bit at or above k."""
+    masks = family_masks(manifold, blocks)
+    if not _is_symmetric(manifold, masks):
+        return None
+    return tuple(b for b, m in zip(blocks, masks) if m >> manifold.k)
+
+
 def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> SystemClass:
     """Classify a family; decide whether it is a symmetric system
     (see ``_is_symmetric``)."""
@@ -596,10 +607,10 @@ def allowable(
     manifold: PrimeDecomposition, family: LaminarFamily, assignment: Assignment
 ) -> bool:
     """True iff the assignment is allowable onto the (symmetric) family."""
-    cls = classify_system(manifold, family)
-    if not cls.is_symmetric:
+    nonsep = _symmetric_nonsep_blocks(manifold, family.blocks)
+    if nonsep is None:
         raise NotSymmetric("allowable assignments target symmetric systems only")
-    return _allowable(manifold, cls.nonsep_blocks, assignment)
+    return _allowable(manifold, nonsep, assignment)
 
 
 def _summand_blocks(manifold: PrimeDecomposition) -> dict:

@@ -666,22 +666,25 @@ def _integer_matrix_inverse(mat):
     return [[int(x) for x in row] for row in inv]
 
 
+def type_permutations(type_classes: list[list[int]]):
+    """Each permutation i -> pi(i) of the summands mapping every class of
+    ``type_classes`` (1-based indices grouped by homeomorphism type) onto
+    itself, in ``product`` order of the classes' ``permutations``."""
+    for combo in itertools.product(*map(itertools.permutations, type_classes)):
+        perm = {}
+        for cls, images in zip(type_classes, combo):
+            perm.update(zip(cls, images))
+        yield perm
+
+
 def wreath_elements(oracles: list[GroupOracle], type_classes: list[list[int]]):
     """Enumerate (perm, tokens) pairs of the type-preserving wreath product.
 
-    ``oracles[i]`` is the mcg oracle of summand i+1; ``type_classes`` groups
-    summand indices (1-based) by homeomorphism type.  Yields pairs
-    ``(perm, tokens)`` with perm a dict i -> pi(i) and tokens a dict
-    i -> oracle element.
+    ``oracles[i]`` is the mcg oracle of summand i+1.  Yields pairs
+    ``(perm, tokens)`` with perm a dict i -> pi(i) from ``type_permutations``
+    and tokens a dict i -> oracle element.
     """
-    k = len(oracles)
-    perms_per_class = [
-        list(itertools.permutations(cls)) for cls in type_classes
-    ]
-    for combo in itertools.product(*perms_per_class):
-        perm = {}
-        for cls, images in zip(type_classes, combo):
-            perm.update(dict(zip(cls, images)))
-        token_choices = [list(oracles[i - 1].elements()) for i in range(1, k + 1)]
+    token_choices = [list(oracle.elements()) for oracle in oracles]
+    for perm in type_permutations(type_classes):
         for tokens in itertools.product(*token_choices):
-            yield dict(perm), {i + 1: tokens[i] for i in range(k)}
+            yield dict(perm), dict(enumerate(tokens, 1))

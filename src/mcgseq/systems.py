@@ -51,6 +51,7 @@ from .model import (
     _allowable,
     _is_symmetric,
     _summand_permutation,
+    _symmetric_nonsep_blocks,
     block_text,
     e_label,
     family_masks,
@@ -347,15 +348,12 @@ def normalize_system(
     assignment permutes summands) carrying the standard system onto the
     family with the given duplicate correspondence.
 
-    Symmetry is decided on the family's masks; the summand blocks of a
-    symmetric family are the singletons {s(i)} and the others are its
-    non-separating blocks, so no classification is needed.
+    Symmetry and the non-separating blocks are read off the family's masks
+    (``model._symmetric_nonsep_blocks``), with no classification.
     """
-    masks = family_masks(manifold, family.blocks)
-    if not _is_symmetric(manifold, masks):
+    nonsep = _symmetric_nonsep_blocks(manifold, family.blocks)
+    if nonsep is None:
         raise NotSymmetric("normalization target must be a symmetric system")
-    k = manifold.k  # bits k and up are handle ends
-    nonsep = tuple(b for b, m in zip(family.blocks, masks) if m >> k)
     return _normalize(manifold, nonsep, assignment)
 
 

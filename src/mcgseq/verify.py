@@ -16,15 +16,15 @@ from . import fpgroup, sequence, systems, textio
 from . import words as w
 from .errors import NotDiscrepant, NotLaminarAfterSlide
 from .model import (
+    Assignment,
     LaminarFamily,
     PrimeDecomposition,
     _is_symmetric,
-    classify_system,
     e_label,
     s_label,
     standard_system,
 )
-from .oracles import wreath_elements
+from .oracles import type_permutations, wreath_elements
 from .sequence import EductionImage, SpottedMarking
 
 log = logging.getLogger("mcgseq.verify")
@@ -83,17 +83,27 @@ def discrepant_alphabet(manifold: PrimeDecomposition) -> list:
     return letters
 
 
+def _aut_tokens(mcg) -> list:
+    """The tokens of aut letters: a finite mcg's elements, else its generators."""
+    return list(mcg.elements()) if mcg.is_finite else [e for _, e in mcg.generators()]
+
+
+def _swap_pairs(manifold: PrimeDecomposition) -> list:
+    """The pairs a < b of summands of one type, the swapIrr letters' indices."""
+    return [
+        (a, b)
+        for a in range(1, manifold.k + 1)
+        for b in range(a + 1, manifold.k + 1)
+        if manifold.type_of(a) == manifold.type_of(b)
+    ]
+
+
 def nondiscrepant_alphabet(manifold: PrimeDecomposition) -> list:
     letters = []
     for i in range(1, manifold.k + 1):
         mcg = manifold.type_of(i).mcg
-        for elem in mcg.elements() if mcg.is_finite else [e for _, e in mcg.generators()]:
-            if not mcg.is_identity(elem):
-                letters.append(w.Aut(i, elem))
-    for a in range(1, manifold.k + 1):
-        for b in range(a + 1, manifold.k + 1):
-            if manifold.type_of(a) == manifold.type_of(b):
-                letters.append(w.SwapIrr(a, b))
+        letters += [w.Aut(i, e) for e in _aut_tokens(mcg) if not mcg.is_identity(e)]
+    letters += [w.SwapIrr(a, b) for a, b in _swap_pairs(manifold)]
     for letter in letters:
         w.check_letter(manifold, letter)
     return letters
@@ -137,18 +147,9 @@ def random_letter(manifold: PrimeDecomposition, rng: random.Random, mixed=True):
             return w.SwapHandles(a, b)
         if kind == "aut" and manifold.k:
             i = rng.randint(1, manifold.k)
-            mcg = manifold.type_of(i).mcg
-            elems = [
-                e for e in (mcg.elements() if mcg.is_finite else [g for _, g in mcg.generators()])
-            ]
-            return w.Aut(i, rng.choice(elems))
+            return w.Aut(i, rng.choice(_aut_tokens(manifold.type_of(i).mcg)))
         if kind == "swapIrr":
-            pairs = [
-                (a, b)
-                for a in range(1, manifold.k + 1)
-                for b in range(a + 1, manifold.k + 1)
-                if manifold.type_of(a) == manifold.type_of(b)
-            ]
+            pairs = _swap_pairs(manifold)
             if pairs:
                 return w.SwapIrr(*rng.choice(pairs))
 
@@ -176,20 +177,21 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
     index-increasing tuples by the blocks compatible with every block so
     far (the AND of their bitsets), so it yields exactly the laminar
     (k+l)-sets, once each, in the order of ``combinations`` of the blocks.
-    Each is tested on its masks and only the symmetric ones are built and
-    classified.  The search never consults the BFS of ``systems``, which
-    the normalization suite audits against it.
+    Each is tested on its masks and only the symmetric ones are built,
+    already in ``block_key`` order; none is classified.  The search never
+    consults the BFS of ``systems``, which the normalization suite audits
+    against it.
 
-    Returns (tuple of (family, class) pairs, number of laminar candidates).
+    Returns (tuple of (family, nonsep_blocks) pairs, number of laminar
+    candidates); ``nonsep_blocks`` are the family's blocks with a bit at or
+    above k, in order, which are ``classify_system``'s ``nonsep_blocks``.
     """
     labels = manifold.labels()
-    # one frozenset per block, shared by every family that holds it
-    block_of = {
-        manifold.mask_of(combo): frozenset(combo)
+    blocks = [
+        manifold.mask_of(combo)
         for r in range(1, len(labels))
         for combo in itertools.combinations(labels, r)
-    }
-    blocks = list(block_of)
+    ]
     compatible = []
     for i, a in enumerate(blocks):
         later = 0
@@ -197,7 +199,8 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
             if a & blocks[j] in (0, a, blocks[j]):
                 later |= 1 << j
         compatible.append(later)
-    size = manifold.k + manifold.ell
+    k = manifold.k
+    size = k + manifold.ell
     laminar_count = 0
     out = []
 
@@ -206,8 +209,9 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
         if len(chosen) == size:
             laminar_count += 1
             if _is_symmetric(manifold, chosen):
-                fam = LaminarFamily.of(map(block_of.__getitem__, chosen))
-                out.append((fam, classify_system(manifold, fam)))
+                fam = tuple(map(manifold.block_of, chosen))  # memoized frozensets
+                nonsep = tuple(b for b, m in zip(fam, chosen) if m >> k)
+                out.append((LaminarFamily(fam), nonsep))
             return
         while candidates:
             low = candidates & -candidates
@@ -226,33 +230,32 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
     return tuple(out), laminar_count
 
 
-def allowable_assignments(manifold: PrimeDecomposition, cls):
-    """All allowable assignments onto a classified symmetric family."""
-    from .model import Assignment
-
-    type_classes = manifold.type_classes()
-    class_perms = [list(itertools.permutations(c)) for c in type_classes]
-    nonsep = list(cls.nonsep_blocks)
-    for combo in itertools.product(*class_perms):
-        perm = {}
-        for cls_members, images in zip(type_classes, combo):
-            perm.update(dict(zip(cls_members, images)))
-        for block_order in itertools.permutations(nonsep):
+def allowable_assignments(manifold: PrimeDecomposition, nonsep_blocks):
+    """All allowable assignments onto a symmetric family with these
+    non-separating blocks (as ``enumerate_symmetric`` pairs them): per
+    ``type_permutations`` summand permutation, per order of the blocks,
+    per choice of sides."""
+    for perm in type_permutations(manifold.type_classes()):
+        summands = {("d", i): (frozenset({s_label(p)}), None) for i, p in perm.items()}
+        for block_order in itertools.permutations(nonsep_blocks):
             for sides in itertools.product(("in", "out"), repeat=manifold.ell):
-                mapping = {}
-                for i in range(1, manifold.k + 1):
-                    mapping[("d", i)] = (frozenset({s_label(perm[i])}), None)
-                for j in range(1, manifold.ell + 1):
-                    block = block_order[j - 1]
-                    side = sides[j - 1]
-                    other = "out" if side == "in" else "in"
+                mapping = dict(summands)
+                for j, (block, side) in enumerate(zip(block_order, sides), 1):
                     mapping[("d", j, 1)] = (block, side)
-                    mapping[("d", j, -1)] = (block, other)
+                    mapping[("d", j, -1)] = (block, "out" if side == "in" else "in")
                 yield Assignment.of(mapping)
 
 
 # ---------------------------------------------------------------------------
 # suites
+
+
+def _wreath_images(manifold: PrimeDecomposition):
+    """The elements of H(V) as eduction images, in ``wreath_elements`` order."""
+    summands = range(1, manifold.k + 1)
+    oracles = [t.mcg for t in manifold.summands]
+    for perm, tokens in wreath_elements(oracles, manifold.type_classes()):
+        yield EductionImage(tuple(map(perm.get, summands)), tuple(tokens.values()))
 
 
 def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dict:
@@ -271,13 +274,8 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
                     + textio.word_text(w.Word(manifold, combo))
                 )
     elements = 0
-    oracles = [manifold.type_of(i).mcg for i in range(1, manifold.k + 1)]
-    for perm, tokens in wreath_elements(oracles, manifold.type_classes()):
+    for image in _wreath_images(manifold):
         elements += 1
-        image = EductionImage(
-            tuple(perm[i] for i in range(1, manifold.k + 1)),
-            tuple(tokens[i] for i in range(1, manifold.k + 1)),
-        )
         lifted = sequence.lift(manifold, image)
         if sequence.educe(lifted) != image:
             failures.append(
@@ -360,11 +358,11 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
     std = standard_system(manifold)
     assignments = 0
     unreachable = 0
-    for fam, cls in symmetric:
-        for assignment in allowable_assignments(manifold, cls):
+    for fam, nonsep in symmetric:
+        for assignment in allowable_assignments(manifold, nonsep):
             assignments += 1
             try:
-                word = systems._normalize(manifold, cls.nonsep_blocks, assignment)
+                word = systems._normalize(manifold, nonsep, assignment)
             except Exception as exc:  # Unreachable or any defect
                 unreachable += 1
                 failures.append(
@@ -481,7 +479,7 @@ def relations_suite(manifold: PrimeDecomposition) -> dict:
                 break
         spin_word = w.Word.of(manifold, (w.Spin(j),))
         swap = {e_label(j, 1): e_label(j, -1), e_label(j, -1): e_label(j, 1)}
-        for fam, _cls in symmetric:
+        for fam, _nonsep in symmetric:
             if systems.act_system(manifold, spin2, fam) != fam:
                 failures.append(f"spin({j})^2 moves a symmetric family")
                 break
@@ -568,7 +566,7 @@ def roundtrip_suite(manifold: PrimeDecomposition, seed=7, cases=200) -> dict:
     if textio.parse_manifold(textio.manifold_text(manifold)) != manifold:
         failures.append("manifold round-trip failed")
     symmetric, _ = enumerate_symmetric(manifold)
-    for fam, cls in symmetric[: cases // 4]:
+    for fam, _nonsep in symmetric[: cases // 4]:
         if textio.parse_family(textio.family_text(fam)) != fam:
             failures.append(f"family round-trip failed: {fam}")
     for _ in range(cases):
@@ -579,26 +577,15 @@ def roundtrip_suite(manifold: PrimeDecomposition, seed=7, cases=200) -> dict:
         u = random_fpword(manifold, rng, max_len=4)
         if textio.parse_fpword(manifold, textio.fpword_text(manifold, u)) != u:
             failures.append("pi1 word round-trip failed")
-    for fam, cls in symmetric[:10]:
-        for assignment in itertools.islice(
-            allowable_assignments(manifold, cls), 4
-        ):
+    for _fam, nonsep in symmetric[:10]:
+        for assignment in itertools.islice(allowable_assignments(manifold, nonsep), 4):
             text = textio.assignment_text(assignment)
             if textio.parse_assignment(manifold, text) != assignment:
                 failures.append("assignment round-trip failed")
-    idx = 0
-    oracles = [manifold.type_of(i).mcg for i in range(1, manifold.k + 1)]
-    for perm, tokens in wreath_elements(oracles, manifold.type_classes()):
-        image = EductionImage(
-            tuple(perm[i] for i in range(1, manifold.k + 1)),
-            tuple(tokens[i] for i in range(1, manifold.k + 1)),
-        )
+    for image in itertools.islice(_wreath_images(manifold), 50):
         data = textio.image_to_jsonable(manifold, image)
         if textio.image_from_jsonable(manifold, data) != image:
             failures.append("eduction image round-trip failed")
-        idx += 1
-        if idx >= 50:
-            break
     return {
         "suite": "roundtrip",
         "cases": cases,

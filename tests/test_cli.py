@@ -159,6 +159,27 @@ class TestKernelAndFactor:
         assert code == 0
         assert json.loads(out)["discrepant"] is True
 
+    @pytest.mark.parametrize(
+        "name, discrepant", [("word_aut.txt", False), ("word_slide.txt", True)]
+    )
+    def test_kernel_test_educes_once(self, monkeypatch, name, discrepant):
+        from mcgseq import sequence
+
+        calls = []
+
+        def spy(word):
+            calls.append(word)
+            return educe(word)
+
+        educe = sequence.educe
+        monkeypatch.setattr(sequence, "educe", spy)
+        code, out = run_cli(
+            "kernel-test", "--manifold", fx("mstar.txt"), "--word", fx(name)
+        )
+        assert code == 0
+        assert json.loads(out)["discrepant"] is discrepant
+        assert len(calls) == 1
+
     def test_factor_non_kernel_is_domain_error(self):
         code, out = run_cli(
             "factor", "--manifold", fx("mstar.txt"), "--word", fx("word_aut.txt")
@@ -569,12 +590,12 @@ def _edit(text, edits):
     return "\n".join(lines) + "\n"
 
 
-def _run_fuzzed(command, texts):
-    """cli.main in-process on files holding the texts; exit code, stdout
-    and stderr."""
+def _run_fuzzed(command, texts, *options):
+    """cli.main in-process on files holding the texts, with any further
+    options; exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command, "--manifold", fx("mstar.txt")]
+        argv = [command, "--manifold", fx("mstar.txt"), *options]
         for option, text in texts.items():
             path = Path(tmp) / f"{option}.txt"
             path.write_text(text, encoding="utf-8")
@@ -591,8 +612,9 @@ def _assert_structured(code, out, err):
 
 
 class TestFuzzedInputs:
-    """Mutated family, assignment and word texts give structured JSON with
-    exit code 0, 1 or 2, never a traceback."""
+    """Mutated family, assignment and word texts give structured JSON (or,
+    for a DOT render, a digraph) with exit code 0, 1 or 2, never a
+    traceback."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -635,3 +657,33 @@ class TestFuzzedInputs:
         )
         word = _edit(_mutate(text, mutations), edits)
         _assert_structured(*_run_fuzzed(command, {"word": word}))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(("family_slid.txt", "family_standard.txt")),
+        st.lists(MUTATION, max_size=4),
+    )
+    @pytest.mark.parametrize(
+        "command, options",
+        [("validate", ()), ("render", ()), ("render", ("--format", "dot"))],
+    )
+    def test_family_commands(self, command, options, name, mutations):
+        family = _mutate((FIXTURES / name).read_text(), mutations)
+        code, out, err = _run_fuzzed(command, {"family": family}, *options)
+        if options and code == 0:  # a DOT digraph, the one output that is not JSON
+            assert out.startswith("digraph") and "Traceback" not in err
+        else:
+            _assert_structured(code, out, err)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(("family_slid.txt", "family_standard.txt")),
+        st.sampled_from(("word_aut.txt", "word_slide.txt")),
+        st.lists(MUTATION, max_size=4),
+    )
+    def test_act_system(self, family_name, word_name, mutations):
+        family = _mutate((FIXTURES / family_name).read_text(), mutations)
+        _assert_structured(*_run_fuzzed("act-system", {
+            "family": family,
+            "word": (FIXTURES / word_name).read_text(),
+        }))

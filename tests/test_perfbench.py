@@ -7,6 +7,7 @@ package module, and run the harness's own unit tests.  The summary of
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +73,22 @@ def test_package_names_read_by_perfbench_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def test_census_setup_counts():
+    """perfbench's census set-up path reads ``enumerate_symmetric``'s pairs
+    and feeds them to ``allowable_assignments``: a change in that return
+    shape breaks the benchmark, which the name check above cannot see."""
+    code = (
+        "import json, layers, refs; from pathlib import Path; "
+        f"res = layers.enumeration(Path({str(ROOT)!r})); "
+        "print(json.dumps([res, refs.MSTAR_COUNTS]))"
+    )
+    proc = _run("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    res, known = json.loads(proc.stdout)
+    for key in ("laminar_candidates", "symmetric_families", "assignments"):
+        assert res[key] == known[key], key
 
 
 def _bench_pairs():

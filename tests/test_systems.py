@@ -63,7 +63,7 @@ class TestActSystem:
 
     def test_twist_identity(self, mstar):
         word = parse_word(mstar, "twist(assoc1)")
-        for family, _cls in enumerate_symmetric(mstar)[0][:50]:
+        for family, _nonsep in enumerate_symmetric(mstar)[0][:50]:
             assert act_system(mstar, word, family) == family
 
     def test_not_laminar_after_slide(self, mstar):
@@ -481,7 +481,7 @@ def _reference_enumerate_symmetric(manifold):
             family = LaminarFamily.of(combo)
             cls = classify_system(manifold, family)
             if cls.is_symmetric:
-                out.append((family, cls))
+                out.append((family, cls.nonsep_blocks))
     return tuple(out), laminar_count
 
 
@@ -710,8 +710,8 @@ class TestNormalize:
         rng = random.Random(61)
         std = standard_system(mstar)
         cases = []
-        for family, cls in enumerate_symmetric(mstar)[0]:
-            for assignment in allowable_assignments(mstar, cls):
+        for family, nonsep in enumerate_symmetric(mstar)[0]:
+            for assignment in allowable_assignments(mstar, nonsep):
                 cases.append((family, assignment))
         for family, assignment in rng.sample(cases, 60):
             word = normalize_system(mstar, family, assignment)
@@ -800,8 +800,8 @@ def _outcome(function, *args):
 class TestNormalizeOnMasks:
     def test_same_certificates_as_reference(self, mstar):
         pairs = 0
-        for family, cls in enumerate_symmetric(mstar)[0]:
-            for assignment in allowable_assignments(mstar, cls):
+        for family, nonsep in enumerate_symmetric(mstar)[0]:
+            for assignment in allowable_assignments(mstar, nonsep):
                 pairs += 1
                 word = normalize_system(mstar, family, assignment)
                 assert word == _reference_normalize(mstar, family, assignment)
@@ -883,8 +883,8 @@ class TestNormalizationCompleteness:
 
         manifold = build_manifold(text)
         std = standard_system(manifold)
-        for family, cls in enumerate_symmetric(manifold)[0]:
-            for assignment in allowable_assignments(manifold, cls):
+        for family, nonsep in enumerate_symmetric(manifold)[0]:
+            for assignment in allowable_assignments(manifold, nonsep):
                 block, side = assignment.target_of(("d", 1, 1))
                 parity_ok = (e_label(1, 1) in block) == (side == "in")
                 if parity_ok:

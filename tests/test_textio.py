@@ -83,7 +83,7 @@ class TestManifoldFormat:
 
 class TestFamilyFormat:
     def test_roundtrip_symmetric(self, mstar):
-        for family, _cls in enumerate_symmetric(mstar)[0]:
+        for family, _nonsep in enumerate_symmetric(mstar)[0]:
             assert parse_family(family_text(family)) == family
 
     def test_empty(self):
@@ -137,9 +137,9 @@ class TestAssignmentFormat:
         import itertools
 
         count = 0
-        for family, cls in enumerate_symmetric(mstar)[0][:8]:
+        for family, nonsep in enumerate_symmetric(mstar)[0][:8]:
             for assignment in itertools.islice(
-                allowable_assignments(mstar, cls), 6
+                allowable_assignments(mstar, nonsep), 6
             ):
                 text = assignment_text(assignment)
                 assert parse_assignment(mstar, text) == assignment

@@ -76,7 +76,7 @@ class TestFreeReduce:
             assert act_pi1(mstar, word, gen_word) == act_pi1(
                 mstar, reduced, gen_word
             )
-        for fam, _cls in enumerate_symmetric(mstar)[0][:40]:
+        for fam, _nonsep in enumerate_symmetric(mstar)[0][:40]:
             assert systems.act_system(mstar, word, fam) == systems.act_system(
                 mstar, reduced, fam
             )
