@@ -18,6 +18,7 @@ from . import words as w
 from .errors import McgseqError, ParseError
 from .model import (
     classify_system,
+    family_masks,
     standard_system,
     validate_laminar,
 )
@@ -318,6 +319,7 @@ def cmd_verify(args):
 def cmd_render(args):
     manifold = _load_manifold(args)
     family = _load_family(args, manifold)
+    family_masks(manifold, family.blocks)  # InvalidFamily unless laminar over L
     if args.format == "json":
         _emit_json(args, {"family": _family_jsonable(family)})
     else:

@@ -570,6 +570,8 @@ def associated_separating(manifold: PrimeDecomposition, j: int) -> frozenset:
 
 # token: ('d', i) for summand duplicates, ('d', j, +1/-1) for handle duplicates
 # target: (block, side) with side None for summand blocks, 'in'/'out' otherwise
+# ``_assignment`` encodes and ``_assignment_state`` decodes it; besides them only
+# textio and verify's independent enumerator build or read the mapping.
 
 
 @dataclass(frozen=True)
@@ -592,82 +594,74 @@ class Assignment:
         raise KeyError(token)
 
 
-def identity_assignment(manifold: PrimeDecomposition) -> Assignment:
-    mapping = {}
-    for i in range(1, manifold.k + 1):
-        mapping[("d", i)] = (frozenset({s_label(i)}), None)
-    for j in range(1, manifold.ell + 1):
-        block = frozenset({e_label(j, 1)})
-        mapping[("d", j, 1)] = (block, "in")
-        mapping[("d", j, -1)] = (block, "out")
+def _assignment(summand_blocks, handle_blocks, spun) -> Assignment:
+    """The assignment sending d(i) to ``summand_blocks[i-1]`` and d(j,+),
+    d(j,-) to the 'in' and 'out' sides of ``handle_blocks[j-1]``, the sides
+    exchanged where ``spun[j-1]`` is true: the encoder of ``_assignment_state``."""
+    mapping = {("d", i): (block, None) for i, block in enumerate(summand_blocks, 1)}
+    for j, (block, flip) in enumerate(zip(handle_blocks, spun), 1):
+        mapping[("d", j, 1)] = (block, "out" if flip else "in")
+        mapping[("d", j, -1)] = (block, "in" if flip else "out")
     return Assignment.of(mapping)
+
+
+def identity_assignment(manifold: PrimeDecomposition) -> Assignment:
+    return _assignment(
+        [frozenset({s_label(i)}) for i in range(1, manifold.k + 1)],
+        [frozenset({e_label(j, 1)}) for j in range(1, manifold.ell + 1)],
+        [False] * manifold.ell,
+    )
 
 
 def allowable(
     manifold: PrimeDecomposition, family: LaminarFamily, assignment: Assignment
 ) -> bool:
-    """True iff the assignment is allowable onto the (symmetric) family."""
+    """True iff the assignment is allowable onto the (symmetric) family,
+    that is iff ``_assignment_state`` decodes it."""
     nonsep = _symmetric_nonsep_blocks(manifold, family.blocks)
     if nonsep is None:
         raise NotSymmetric("allowable assignments target symmetric systems only")
-    return _allowable(manifold, nonsep, assignment)
+    return _assignment_state(manifold, nonsep, assignment) is not None
 
 
-def _summand_blocks(manifold: PrimeDecomposition) -> dict:
-    """The summand blocks {s(i)} of every symmetric system, to i."""
-    return {manifold.block_of(1 << (i - 1)): i for i in range(1, manifold.k + 1)}
+def _assignment_state(manifold: PrimeDecomposition, nonsep_blocks, assignment):
+    """Decode an assignment onto a symmetric family with these
+    non-separating blocks into ``(perm, slots, bits)``, or None when it is
+    not allowable: when its tokens are not ``duplicate_tokens``, a d(i) has
+    a side or misses the summand blocks {s(p)} of its type, two d(i) share
+    a block, a handle's d(j,+) and d(j,-) are not the two sides of one
+    non-separating block, or two handles share a block.
 
-
-def _allowable(
-    manifold: PrimeDecomposition, nonsep_blocks, assignment: Assignment
-) -> bool:
-    """allowable() onto a symmetric family with these non-separating blocks.
-
-    The blocks stay frozensets, so a target block with a label outside L
-    is simply not one of them.
+    ``perm[i]`` is d(i)'s p, ``slots[j-1]`` the mask of handle j's block,
+    and bit j-1 of ``bits`` is set when d(j,+) is on the 'out' side.
+    Blocks compare as frozensets, so one with a label outside L matches
+    none.  The injectivity checks guard ``sequence.perm_transpositions``,
+    which never returns on a ``perm`` that is not a bijection.
     """
     mapping = assignment.as_dict()
     if mapping.keys() != manifold.duplicate_tokens:
-        return False
-    summand_of_block = _summand_blocks(manifold)
-    nonsep = set(nonsep_blocks)
-    hit = set()
+        return None
+    summand_of_block = {manifold.block_of(1 << n): n + 1 for n in range(manifold.k)}
+    perm = {}
     for i in range(1, manifold.k + 1):
         block, side = mapping[("d", i)]
-        if side is not None or block not in summand_of_block:
-            return False
-        if manifold.type_of(summand_of_block[block]) != manifold.type_of(i):
-            return False
-        if (block, None) in hit:
-            return False
-        hit.add((block, None))
+        p = summand_of_block.get(block)
+        if side is not None or p is None or manifold.type_of(p) != manifold.type_of(i):
+            return None
+        perm[i] = p
+    mask_of_block = {b: manifold.mask_of(b) for b in nonsep_blocks}
+    slots, bits = [], 0
     for j in range(1, manifold.ell + 1):
         bp, sp = mapping[("d", j, 1)]
         bm, sm = mapping[("d", j, -1)]
-        if bp != bm or bp not in nonsep:
-            return False
-        if {sp, sm} != {"in", "out"}:
-            return False
-        if (bp, sp) in hit or (bm, sm) in hit:
-            return False
-        hit.add((bp, sp))
-        hit.add((bm, sm))
-    return True
-
-
-def _summand_permutation(
-    manifold: PrimeDecomposition, assignment: Assignment
-) -> dict[int, int]:
-    """The summand permutation induced by an allowable assignment.
-
-    perm[i] = the summand whose one-holed piece the image of d(i) cuts off.
-    """
-    summand_of_block = _summand_blocks(manifold)
-    perm = {}
-    for i in range(1, manifold.k + 1):
-        block, _ = assignment.target_of(("d", i))
-        perm[i] = summand_of_block[block]
-    return perm
+        if bp != bm or bp not in mask_of_block or {sp, sm} != {"in", "out"}:
+            return None
+        slots.append(mask_of_block[bp])
+        if sp == "out":
+            bits |= 1 << (j - 1)
+    if len(set(perm.values())) < manifold.k or len(set(slots)) < manifold.ell:
+        return None
+    return perm, tuple(slots), bits
 
 
 def build_manifold(text: str) -> PrimeDecomposition:

@@ -269,7 +269,12 @@ def spotted_educe(marking: SpottedMarking, letters) -> tuple[object, tuple[int, 
 def spotted_lift(
     marking: SpottedMarking, cap, perm: tuple[int, ...]
 ) -> list:
-    """Explicit spotted word with spotted_educe == (cap, perm)."""
+    """Explicit spotted word with spotted_educe == (cap, perm).
+
+    Raises TypeMismatch unless perm is a permutation of 1..spots.
+    """
+    if sorted(perm) != list(range(1, marking.spots + 1)):
+        raise TypeMismatch(f"not a permutation of 1..{marking.spots}: {perm!r}")
     mapping = {i + 1: perm[i] for i in range(marking.spots)}
     letters: list = [SpotSwap(a, b) for a, b in perm_transpositions(mapping)]
     if not marking.cap_type.mcg.is_identity(cap):

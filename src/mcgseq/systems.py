@@ -26,7 +26,8 @@ state by the integer ``id << l | bits``; the summand slots never move and
 are left out.  A query decides symmetry on the family's masks, with no
 classification, and the search moves are validated once, when the index
 is built, so a certificate is assembled from them without checking each
-letter again.
+letter again.  A query decodes its assignment once, with ``model``'s
+codec, which ``trace_assignment`` also uses to encode its result.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .model import (
     LaminarFamily,
     PrimeDecomposition,
     ROOT,
-    _allowable,
+    _assignment,
+    _assignment_state,
     _is_symmetric,
-    _summand_permutation,
     _symmetric_nonsep_blocks,
     block_text,
     e_label,
@@ -185,23 +186,10 @@ def _fold_state(manifold: PrimeDecomposition, letters):
     return slots, tuple(bits)
 
 
-def _readout(manifold: PrimeDecomposition, slots, bits) -> Assignment:
-    mapping = {}
-    for i in range(1, manifold.k + 1):
-        mapping[("d", i)] = (slots[i - 1], None)
-    for j in range(1, manifold.ell + 1):
-        block = slots[manifold.k + j - 1]
-        if bits[j - 1]:
-            mapping[("d", j, 1)] = (block, "out")
-            mapping[("d", j, -1)] = (block, "in")
-        else:
-            mapping[("d", j, 1)] = (block, "in")
-            mapping[("d", j, -1)] = (block, "out")
-    return Assignment.of(mapping)
-
-
 def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
-    """The duplicate correspondence induced by a word on the standard system."""
+    """The duplicate correspondence induced by a word on the standard system:
+    the slot blocks and spin bits of ``_fold_state``, encoded by
+    ``model._assignment``."""
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
     masks, bits = _fold_state(manifold, word.letters)
@@ -209,7 +197,8 @@ def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
         raise NotSymmetric(
             "word does not carry the standard system to a symmetric system"
         )
-    return _readout(manifold, tuple(map(manifold.block_of, masks)), bits)
+    blocks = tuple(map(manifold.block_of, masks))
+    return _assignment(blocks[: manifold.k], blocks[manifold.k :], bits)
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +311,6 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     return _Index(moves, ids, parent)
 
 
-def _target_state(
-    manifold: PrimeDecomposition, index: _Index, assignment: Assignment
-):
-    """The index key matching the assignment's handle part, or None.
-
-    The summand part is realized by the swapIrr prefix; the search keeps
-    the summand slots at their standard singletons (discrepant moves never
-    change them), so the key reads only the handle slots and spin bits.
-    """
-    slots, bits = [], 0
-    for j in range(1, manifold.ell + 1):
-        block, side = assignment.target_of(("d", j, 1))
-        slots.append(manifold.mask_of(block))
-        if side == "out":
-            bits |= 1 << (j - 1)
-    tid = index.ids.get(tuple(slots))
-    return None if tid is None else tid << manifold.ell | bits
-
-
 def normalize_system(
     manifold: PrimeDecomposition, family: LaminarFamily, assignment: Assignment
 ) -> w.Word:
@@ -361,17 +331,25 @@ def _normalize(
     manifold: PrimeDecomposition, nonsep_blocks, assignment: Assignment
 ) -> w.Word:
     """``normalize_system`` onto a symmetric family with these
-    non-separating blocks."""
-    if not _allowable(manifold, nonsep_blocks, assignment):
+    non-separating blocks.
+
+    The assignment is decoded once, by ``model._assignment_state``: the
+    summand permutation gives the swapIrr prefix, and the handle-slot masks
+    and spin bits give the search key (discrepant moves never change the
+    summand slots, so the search leaves them out).
+    """
+    state = _assignment_state(manifold, nonsep_blocks, assignment)
+    if state is None:
         raise NotAllowable("assignment is not allowable onto the target family")
-    perm = _summand_permutation(manifold, assignment)
+    perm, slots, bits = state
     prefix = tuple(w.SwapIrr(a, b) for a, b in perm_transpositions(perm))
     for letter in prefix:
         w.check_letter(manifold, letter)
     # swapIrr letters do not touch handle labels or spin bits, so the search
     # index from the plain standard state answers every query
     index = _reachability(manifold)
-    key = _target_state(manifold, index, assignment)
+    tid = index.ids.get(slots)
+    key = None if tid is None else tid << manifold.ell | bits
     if key not in index.parent:
         raise Unreachable(
             "no slide/spin/swap word realizes the target family and "

@@ -234,7 +234,9 @@ def allowable_assignments(manifold: PrimeDecomposition, nonsep_blocks):
     """All allowable assignments onto a symmetric family with these
     non-separating blocks (as ``enumerate_symmetric`` pairs them): per
     ``type_permutations`` summand permutation, per order of the blocks,
-    per choice of sides."""
+    per choice of sides.  The mapping is built here, not by
+    ``model._assignment``, so that this enumerator stays independent of the
+    assignment codec that the normalization suite checks against it."""
     for perm in type_permutations(manifold.type_classes()):
         summands = {("d", i): (frozenset({s_label(p)}), None) for i, p in perm.items()}
         for block_order in itertools.permutations(nonsep_blocks):

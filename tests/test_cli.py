@@ -290,6 +290,23 @@ class TestRender:
         assert out.startswith("digraph")
         assert "lab_e1p" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_invalid_family_is_domain_error(self, tmp_path, fmt):
+        # a label outside L, then two blocks that overlap without nesting
+        family = tmp_path / "family.txt"
+        family.write_text("block {s3}\nblock {s1,e1+}\nblock {s1,e2+}\n")
+        code, out = run_cli(
+            "render", "--manifold", fx("mstar.txt"), "--family", str(family),
+            "--format", fmt,
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "kind": "InvalidFamily",
+                "message": "block {s3} uses labels outside L: s3",
+            }
+        }
+
 
 class TestErrors:
     def test_missing_file_is_config_error(self):

@@ -342,3 +342,9 @@ class TestSpotted:
             for perm in itertools.permutations((1, 2, 3)):
                 lifted = spotted_lift(spotted, cap, perm)
                 assert spotted_educe(spotted, lifted) == (cap, perm)
+
+    @pytest.mark.parametrize("perm", [(1, 1, 3), (1, 2), (1, 2, 3, 4), (0, 1, 2)])
+    def test_lift_rejects_non_permutation(self, spotted, perm):
+        # (1, 1, 3) sent perm_transpositions round a cycle that never closes
+        with pytest.raises(TypeMismatch):
+            spotted_lift(spotted, "tau", perm)

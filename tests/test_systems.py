@@ -778,7 +778,14 @@ def _reference_normalize(manifold, family, assignment):
     }
     prefix = [w.SwapIrr(a, b) for a, b in sequence.perm_transpositions(perm)]
     index = systems._reachability(manifold)
-    key = systems._target_state(manifold, index, assignment)
+    slots, bits = [], 0
+    for j in range(1, manifold.ell + 1):
+        block, side = assignment.target_of(("d", j, 1))
+        slots.append(manifold.mask_of(block))
+        if side == "out":
+            bits |= 1 << (j - 1)
+    tid = index.ids.get(tuple(slots))
+    key = None if tid is None else tid << manifold.ell | bits
     if key not in index.parent:
         raise Unreachable("no slide/spin/swap word realizes the target")
     path = []
@@ -841,6 +848,62 @@ class TestNormalizeOnMasks:
             got = _outcome(normalize_system, manifold, family, assignment)
             assert got is kind
             assert _outcome(_reference_normalize, manifold, family, assignment) is kind
+
+
+class TestAssignmentCodec:
+    """``model.allowable`` (the codec's decoder) against the test-local
+    ``_reference_allowable`` on mutated allowable assignments.
+
+    Each entry's target is replaced by each {s(i)}, each non-separating
+    block of the family on either side, and a block with a label outside L;
+    besides those single-entry mutants, one token is dropped, each handle's
+    pair is moved together onto each non-separating block, and each two
+    summand targets are exchanged.  A single entry cannot break only an
+    injectivity or type condition (the old target of the entry's new block
+    still collides, or its handle's pair splits), hence the joint mutants.
+    ``normalize_system`` runs only where the reference accepts: a decoder
+    that let a non-bijective summand map through would send
+    ``perm_transpositions`` into an endless loop.
+    """
+
+    @pytest.mark.parametrize("name", ["mstar", "mixed_types"])
+    def test_mutants_match_reference(self, name, request):
+        manifold = request.getfixturevalue(name)
+        k, ell = manifold.k, manifold.ell
+        cases = [
+            (family, assignment)
+            for family, nonsep in enumerate_symmetric(manifold)[0]
+            for assignment in allowable_assignments(manifold, nonsep)
+        ]
+        stray = frozenset({e_label(ell + 1, 1)})  # a label outside L
+        summands = [(frozenset({s_label(i)}), None) for i in range(1, k + 1)]
+        verdicts = []
+        for family, assignment in random.Random(12).sample(cases, 40):
+            cls = classify_system(manifold, family)
+            sided = [(b, side) for b in cls.nonsep_blocks for side in ("in", "out")]
+            mapping = assignment.as_dict()
+            mutants = [{t: v for t, v in mapping.items() if t != ("d", 1)}]
+            for token, (_, side) in mapping.items():
+                for target in summands + sided + [(stray, side)]:
+                    mutants.append({**mapping, token: target})
+            for j in range(1, ell + 1):
+                for block, side in sided:
+                    other = "out" if side == "in" else "in"
+                    mutants.append(
+                        {**mapping, ("d", j, 1): (block, side), ("d", j, -1): (block, other)}
+                    )
+            for a, b in itertools.combinations(range(1, k + 1), 2):
+                mutants.append(
+                    {**mapping, ("d", a): mapping[("d", b)], ("d", b): mapping[("d", a)]}
+                )
+            for mutant in map(Assignment.of, mutants):
+                expected = _reference_allowable(manifold, cls, mutant)
+                assert model.allowable(manifold, family, mutant) == expected
+                verdicts.append(expected)
+                if expected:
+                    got = _outcome(normalize_system, manifold, family, mutant)
+                    assert got == _outcome(_reference_normalize, manifold, family, mutant)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestNormalizationCompleteness:
