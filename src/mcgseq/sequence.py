@@ -152,15 +152,29 @@ def lift(manifold: PrimeDecomposition, image: EductionImage) -> w.Word:
     return w.Word.of(manifold, tuple(letters + auts))
 
 
+def _eduction(word: w.Word) -> EductionImage:
+    """``educe(word)``, folded once per word and kept in its ``_image`` slot.
+
+    Once it has run, the word's manifold holds its identity image, which
+    ``educe`` builds.
+    """
+    image = word._image
+    if image is None:
+        image = educe(word)
+        w._set_image(word, image)
+    return image
+
+
 def is_discrepant(word: w.Word) -> bool:
     """True iff the word educes to the identity of H(V).
 
-    ``educe`` hands back the manifold's identity image itself for a word
-    without aut or swapIrr letters, so that case skips the field-by-field
-    comparison.
+    The word is folded at most once (``_eduction``), so a later
+    ``factor_discrepant`` of it reads the same image.  ``educe`` hands back
+    the manifold's identity image itself for a word without aut or swapIrr
+    letters, so that case skips the field-by-field comparison.
     """
-    image = educe(word)
-    identity = identity_image(word.manifold)
+    image = _eduction(word)
+    identity = word.manifold._identity_image
     return image is identity or image == identity
 
 
@@ -175,8 +189,8 @@ def factor_discrepant(word: w.Word) -> w.Word:
     segment, so the rewrite would rebuild an equal word.
     """
     manifold = word.manifold
-    identity = identity_image(manifold)
-    image = educe(word)
+    image = _eduction(word)
+    identity = manifold._identity_image
     if image is identity:
         return word
     if image != identity:

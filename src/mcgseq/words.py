@@ -2,6 +2,11 @@
 
 Convention (used package-wide): words act left-to-right, so acting with
 ``compose(w1, w2)`` equals acting with w1 first, then w2.
+
+A ``Word`` is an immutable value, the pair (manifold, letters), that
+carries its eduction once ``sequence.is_discrepant`` or
+``sequence.factor_discrepant`` has folded it; every function here builds
+a new word, which starts without one.
 """
 
 from __future__ import annotations
@@ -142,10 +147,43 @@ def check_letter(manifold: PrimeDecomposition, letter) -> None:
 # words
 
 
-@dataclass(frozen=True)
 class Word:
-    manifold: PrimeDecomposition
-    letters: tuple
+    """An immutable word over the alphabet of H(W) on one manifold.
+
+    Equality, hash and repr are those of the pair (manifold, letters).  The
+    ``_image`` slot keeps the word's eduction once ``sequence._eduction``
+    has folded it (None until then); it takes no part in equality, hash,
+    repr, pickling or copying.  Slots are written through their
+    descriptors, so ``__setattr__`` can refuse every assignment.
+    """
+
+    __slots__ = ("manifold", "letters", "_image")
+
+    def __init__(self, manifold: PrimeDecomposition, letters: tuple):
+        _set_manifold(self, manifold)
+        _set_letters(self, letters)
+        _set_image(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Word")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Word")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.manifold, self.letters) == (other.manifold, other.letters)
+
+    def __hash__(self):
+        return hash((self.manifold, self.letters))
+
+    def __repr__(self):
+        return f"Word(manifold={self.manifold!r}, letters={self.letters!r})"
+
+    def __reduce__(self):
+        # rebuild on unpickling and copying, without the eduction
+        return (Word, (self.manifold, self.letters))
 
     @classmethod
     def of(cls, manifold: PrimeDecomposition, letters) -> "Word":
@@ -159,6 +197,11 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
+
+
+_set_manifold = Word.manifold.__set__
+_set_letters = Word.letters.__set__
+_set_image = Word._image.__set__
 
 
 def empty_word(manifold: PrimeDecomposition) -> Word:

@@ -665,15 +665,24 @@ class TestFuzzedInputs:
         st.lists(MUTATION, max_size=4),
         st.lists(WORD_EDIT, max_size=3),
     )
-    @pytest.mark.parametrize("command", ["educe", "kernel-test", "factor"])
-    def test_word_commands(self, command, names, mutations, edits):
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            pytest.param(command, (), id=command)
+            for command in ("educe", "kernel-test", "factor", "lift", "act-pi1")
+        ]
+        + [pytest.param(
+            "act-pi1", ("--element", "x1 g1@2 x2^-1"), id="act-pi1-element"
+        )],
+    )
+    def test_word_commands(self, command, options, names, mutations, edits):
         text = "\n".join(
             letter
             for name in names
             for letter in WORD_LETTER.findall((FIXTURES / name).read_text())
         )
         word = _edit(_mutate(text, mutations), edits)
-        _assert_structured(*_run_fuzzed(command, {"word": word}))
+        _assert_structured(*_run_fuzzed(command, {"word": word}, *options))
 
     @settings(max_examples=120, deadline=None)
     @given(

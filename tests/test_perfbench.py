@@ -1,8 +1,9 @@
 """The benchmark harness uses package names that no other test reaches
 (``Forest``, ``act_letter_blocks``, ``identity_assignment``, ...): import
 every ``perfbench`` module, check every ``<module>.<name>`` it reads off a
-package module, and run the harness's own unit tests.  The summary of
-``scripts/bench_pairs.py`` is checked on a synthetic run list."""
+package module, run the harness's own unit tests and one full round of
+the exact-sequence workload.  The summary of ``scripts/bench_pairs.py`` is
+checked on a synthetic run list."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +91,20 @@ def test_census_setup_counts():
     res, known = json.loads(proc.stdout)
     for key in ("laminar_candidates", "symmetric_families", "assignments"):
         assert res[key] == known[key], key
+
+
+def test_exact_sequence_round_passes():
+    """One full round of the exact-sequence workload: every operation builds
+    words and runs the kernel test and the factorization, so a change to the
+    ``Word`` API that the harness relies on fails here, not in the benchmark."""
+    proc = _run(
+        str(PERFBENCH / "worker.py"), "round", "--workload", "exact-sequence",
+        "--seed", "1", "--trace", "0", "--spawned", repr(time.monotonic()),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["failed"] == 0, result["messages"][:3]
+    assert result["attempted"] == 100
 
 
 def _bench_pairs():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcgseq import fpgroup, systems, words as w
+from mcgseq import fpgroup, sequence, systems, words as w
 from mcgseq.errors import InvalidWord, NotDiscrepant, OracleError, TypeMismatch
 from mcgseq.model import standard_system
 from mcgseq.oracles import wreath_elements
@@ -261,11 +261,12 @@ class TestFactorFastPath:
         ],
     )
     def test_unknown_letter_raises_invalid_word(self, mstar, letters):
+        # a failed eduction leaves no image on the word: each call raises
         word = w.Word(mstar, letters)
-        with pytest.raises(InvalidWord):
-            is_discrepant(word)
-        with pytest.raises(InvalidWord):
-            factor_discrepant(word)
+        for test in (is_discrepant, factor_discrepant, is_discrepant):
+            with pytest.raises(InvalidWord):
+                test(word)
+            assert word._image is None
 
     def test_non_trivial_trailing_segment_raises(self, mstar, monkeypatch):
         # a rewrite that leaves aut(1,tau) behind on a kernel word is caught
@@ -290,6 +291,22 @@ class TestExactnessSuite:
         assert "20440 skipped as syntactically unchanged, 1536 compared" in (
             caplog.text
         )
+
+    def test_educes_each_mixed_word_once(self, mstar, monkeypatch):
+        # 1,893 discrepant words, 8 lifted images, 99,499 mixed words (each
+        # folded once for both the kernel test and the factorization) and 130
+        # trailing segments of rewritten kernel words
+        calls = []
+        fold = sequence.educe
+
+        def spy(word):
+            calls.append(None)
+            return fold(word)
+
+        monkeypatch.setattr(sequence, "educe", spy)
+        report = exactness_suite(mstar, max_len=2, mixed_len=3)
+        assert report["ok"]
+        assert len(calls) == 101_530
 
     def test_logs_skipped_and_compared_words(self, k2l1, caplog):
         with caplog.at_level(logging.INFO, logger="mcgseq.verify"):

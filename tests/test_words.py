@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -33,6 +36,57 @@ class TestCompose:
     def test_manifold_mismatch(self, mstar, k2l1):
         with pytest.raises(ManifoldMismatch):
             w.compose(w.empty_word(mstar), w.empty_word(k2l1))
+
+
+class TestWordValue:
+    """A Word is the value (manifold, letters): the eduction kept in its
+    ``_image`` slot shows in no comparison, repr or copy."""
+
+    TEXT = "aut(1,tau) slideIrr(1; x1) swapIrr(1,2)"
+
+    def _educed(self, manifold):
+        word = parse_word(manifold, self.TEXT)
+        sequence._eduction(word)
+        assert word._image is not None
+        return word
+
+    def test_equality_and_hash_ignore_the_eduction(self, mstar):
+        educed, fresh = self._educed(mstar), parse_word(mstar, self.TEXT)
+        assert fresh._image is None
+        assert educed == fresh and not educed != fresh
+        assert hash(educed) == hash(fresh) == hash((mstar, fresh.letters))
+        assert {educed: 1}[fresh] == 1
+        assert educed != parse_word(mstar, "aut(1,tau)")
+        assert educed != (mstar, fresh.letters)
+
+    def test_repr_is_the_dataclass_repr(self, mstar):
+        reference = dataclasses.make_dataclass(
+            "Word", ["manifold", "letters"], frozen=True
+        )
+        word = self._educed(mstar)
+        assert repr(word) == repr(reference(mstar, word.letters))
+
+    @pytest.mark.parametrize("name", ["manifold", "letters", "_image", "other"])
+    def test_assignment_raises(self, mstar, name):
+        word = self._educed(mstar)
+        image = word._image
+        with pytest.raises(AttributeError):
+            setattr(word, name, None)
+        with pytest.raises(AttributeError):
+            delattr(word, name)
+        assert word == parse_word(mstar, self.TEXT) and word._image is image
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_are_equal_and_carry_no_eduction(self, mstar, clone):
+        word = self._educed(mstar)
+        twin = clone(word)
+        assert twin == word and hash(twin) == hash(word)
+        assert twin._image is None
+        assert sequence.is_discrepant(twin) is sequence.is_discrepant(word)
 
 
 class TestInvert:
@@ -489,6 +543,41 @@ class TestSinglePassMatchesReference:
         rng = random.Random(41)
         for _ in range(2000):
             _assert_matches_reference(random_word(manifold, rng, max_len=14))
+
+
+class TestEductionMemo:
+    """The eduction kept on a word never changes a kernel test or a
+    factorization, whichever runs first, on fresh or already-educed words."""
+
+    @pytest.mark.parametrize("name", ["mstar", "s3_sign", "free_mcg"])
+    def test_answers_do_not_depend_on_order(self, name, request):
+        manifold = request.getfixturevalue(name)
+        alphabet = discrepant_alphabet(manifold) + nondiscrepant_alphabet(manifold)
+        rng = random.Random(13)
+        combos = [
+            combo for length in range(3)
+            for combo in itertools.product(alphabet, repeat=length)
+        ] + [random_word(manifold, rng, max_len=8).letters for _ in range(300)]
+        identity = sequence.identity_image(manifold)
+        for combo in combos:
+            # the first call on a fresh word folds it: the answers without a memo
+            in_kernel = sequence.is_discrepant(w.Word(manifold, combo))
+            factored = _factor_outcome(
+                sequence.factor_discrepant, w.Word(manifold, combo)
+            )
+            assert in_kernel == (sequence.educe(w.Word(manifold, combo)) == identity)
+            kernel_first = w.Word(manifold, combo)
+            assert sequence.is_discrepant(kernel_first) == in_kernel
+            assert _factor_outcome(sequence.factor_discrepant, kernel_first) == factored
+            factor_first = w.Word(manifold, combo)
+            assert _factor_outcome(sequence.factor_discrepant, factor_first) == factored
+            assert sequence.is_discrepant(factor_first) == in_kernel
+            educed = w.Word(manifold, combo)
+            sequence._eduction(educed)
+            for word in (kernel_first, factor_first, educed):  # all educed now
+                assert sequence.is_discrepant(word) == in_kernel, word_text(word)
+                assert _factor_outcome(sequence.factor_discrepant, word) == factored
+                assert word._image == sequence.educe(word)
 
 
 # ---------------------------------------------------------------------------
