@@ -6,7 +6,12 @@ generator.  Reduced means no adjacent letters share a factor, no adjacent
 x_j / x_j^-1 pair, and no identity oracle elements.
 
 Words act on pi1 on the left-to-right convention: acting with
-``compose(w1, w2)`` equals acting with w1 first, then w2.
+``compose(w1, w2)`` equals acting with w1 first, then w2.  Each generator
+letter acts by one of the five automorphism types that generate the
+automorphisms of a free product (Fouxe-Rabinovitch): partial conjugations
+(slideIrr, slideHandle), transvections (slideEnd), inversions (spin),
+interchanges (swapIrr, swapHandles) and factor automorphisms (aut); twists
+act trivially.  ``act_letter_pi1`` has one branch per type.
 """
 
 from __future__ import annotations
@@ -95,88 +100,68 @@ def generator_words(manifold: PrimeDecomposition) -> list[tuple[tuple, FPWord]]:
 
 
 def act_letter_pi1(manifold: PrimeDecomposition, letter, u: FPWord) -> FPWord:
-    """Action of a single generator letter on a reduced word."""
+    """Action of a single generator letter on a reduced word.
+
+    Each letter acts by one of the five automorphism types of a free
+    product (gamma is the slide path):
+
+    * partial conjugation: ``slideIrr(i; gamma)`` and
+      ``slideHandle(j; gamma)`` send each letter of G_i, or each x_j^s,
+      to gamma^-1 * letter * gamma;
+    * transvection: ``slideEnd(j, sign; gamma)`` sends x_j^s to
+      x_j^s * gamma when s is the end's sign, to gamma^-1 * x_j^s otherwise;
+    * inversion: ``spin(j)`` sends x_j to x_j^-1;
+    * interchange: ``swapIrr(a, b)`` and ``swapHandles(a, b)`` exchange the
+      indices a and b of the g or x letters;
+    * factor automorphism: ``aut(i, t)`` applies t's pi1 table to G_i.
+
+    A twist acts trivially.
+    """
     from . import words as w  # local import; words depends on this module
 
-    out: list = []
-    if isinstance(letter, w.SlideIrr):
-        gamma = letter.path
-        gamma_inv = fp_inv(manifold, gamma)
+    kind = type(letter)
+    if kind is w.SlideIrr or kind is w.SlideHandle:
+        tag, n = ("g", letter.summand) if kind is w.SlideIrr else ("x", letter.handle)
+        gamma, gamma_inv = letter.path, fp_inv(manifold, letter.path)
+        out: list = []
         for lt in u:
-            if lt[0] == "g" and lt[1] == letter.summand:
-                out.extend(gamma_inv)
+            if lt[0] == tag and lt[1] == n:
+                out += gamma_inv
                 out.append(lt)
-                out.extend(gamma)
+                out += gamma
             else:
                 out.append(lt)
-    elif isinstance(letter, w.SlideEnd):
-        gamma = letter.path
-        gamma_inv = fp_inv(manifold, gamma)
+    elif kind is w.SlideEnd:
+        j, sign = letter.handle, letter.sign
+        gamma, gamma_inv = letter.path, fp_inv(manifold, letter.path)
+        out = []
+        for lt in u:
+            if lt[0] != "x" or lt[1] != j:
+                out.append(lt)
+            elif lt[2] == sign:
+                out.append(lt)
+                out += gamma
+            else:
+                out += gamma_inv
+                out.append(lt)
+    elif kind is w.Spin:
         j = letter.handle
-        for lt in u:
-            if lt[0] == "x" and lt[1] == j:
-                if letter.sign == 1:
-                    # x_j -> x_j * gamma
-                    if lt[2] == 1:
-                        out.append(lt)
-                        out.extend(gamma)
-                    else:
-                        out.extend(gamma_inv)
-                        out.append(lt)
-                else:
-                    # x_j -> gamma^-1 * x_j
-                    if lt[2] == 1:
-                        out.extend(gamma_inv)
-                        out.append(lt)
-                    else:
-                        out.append(lt)
-                        out.extend(gamma)
-            else:
-                out.append(lt)
-    elif isinstance(letter, w.SlideHandle):
-        gamma = letter.path
-        gamma_inv = fp_inv(manifold, gamma)
-        j = letter.handle
-        for lt in u:
-            if lt[0] == "x" and lt[1] == j:
-                out.extend(gamma_inv)
-                out.append(lt)
-                out.extend(gamma)
-            else:
-                out.append(lt)
-    elif isinstance(letter, w.Spin):
-        for lt in u:
-            if lt[0] == "x" and lt[1] == letter.handle:
-                out.append(("x", lt[1], -lt[2]))
-            else:
-                out.append(lt)
-    elif isinstance(letter, w.Twist):
-        out.extend(u)
-    elif isinstance(letter, w.SwapHandles):
-        a, b = letter.a, letter.b
-        for lt in u:
-            if lt[0] == "x" and lt[1] == a:
-                out.append(("x", b, lt[2]))
-            elif lt[0] == "x" and lt[1] == b:
-                out.append(("x", a, lt[2]))
-            else:
-                out.append(lt)
-    elif isinstance(letter, w.SwapIrr):
-        a, b = letter.a, letter.b
-        for lt in u:
-            if lt[0] == "g" and lt[1] == a:
-                out.append(("g", b, lt[2]))
-            elif lt[0] == "g" and lt[1] == b:
-                out.append(("g", a, lt[2]))
-            else:
-                out.append(lt)
-    elif isinstance(letter, w.Aut):
-        table = manifold.type_of(letter.summand).pi1_table(letter.token)
-        for lt in u:
-            if lt[0] == "g" and lt[1] == letter.summand:
-                out.append(("g", lt[1], table.apply(lt[2])))
-            else:
-                out.append(lt)
+        out = [("x", j, -lt[2]) if lt[0] == "x" and lt[1] == j else lt for lt in u]
+    elif kind is w.SwapIrr or kind is w.SwapHandles:
+        tag, a, b = "g" if kind is w.SwapIrr else "x", letter.a, letter.b
+        out = [
+            (tag, a + b - lt[1], lt[2]) if lt[0] == tag and lt[1] in (a, b) else lt
+            for lt in u
+        ]
+    elif kind is w.Aut:
+        i = letter.summand
+        table = manifold.type_of(i).pi1_table(letter.token)
+        out = [
+            ("g", i, table.apply(lt[2])) if lt[0] == "g" and lt[1] == i else lt
+            for lt in u
+        ]
+    elif kind is w.Twist:
+        out = u
     else:
         raise InvalidWord(f"unknown generator letter {letter!r}")
     return fp_reduce(manifold, out)
@@ -184,16 +169,10 @@ def act_letter_pi1(manifold: PrimeDecomposition, letter, u: FPWord) -> FPWord:
 
 def act_pi1(manifold: PrimeDecomposition, word, u: FPWord) -> FPWord:
     """Fold the word's letters left-to-right over u."""
-    from . import words as w
-
-    if isinstance(word, w.Word):
-        if word.manifold != manifold:
-            raise InvalidWord("word belongs to a different manifold")
-        letters = word.letters
-    else:
-        letters = tuple(word)
+    if word.manifold != manifold:
+        raise InvalidWord("word belongs to a different manifold")
     out = fp_reduce(manifold, u)
-    for letter in letters:
+    for letter in word.letters:
         out = act_letter_pi1(manifold, letter, out)
     return out
 
@@ -450,11 +429,10 @@ def abelianized_action(manifold: PrimeDecomposition, word) -> AbAction:
     This route never consults act_pi1, so it doubles as an independent
     oracle for the pi1 action.
     """
-    from . import words as w
-
-    letters = word.letters if isinstance(word, w.Word) else tuple(word)
+    if word.manifold != manifold:
+        raise InvalidWord("word belongs to a different manifold")
     out = identity_ab_action(manifold)
-    for letter in letters:
+    for letter in word.letters:
         out = out.then(_ab_action_of_letter(manifold, letter))
     return out
 

@@ -317,51 +317,34 @@ def _unknown_label_message(manifold: PrimeDecomposition, block: frozenset) -> st
     )
 
 
-def _encode(manifold: PrimeDecomposition, blocks) -> tuple[list[int], dict, int]:
-    """Masks of arbitrary blocks, the label -> bit map they use and L's mask.
-
-    That is the manifold's map unless a block holds labels outside L (only
-    invalid input does); those get bits of their own, with every label in
-    label_key order, so that mask_key still sorts like block_key.
-    """
-    bits = manifold.label_bits
-    strays = set().union(*blocks) - bits.keys()
-    if strays:
-        order = sorted(bits.keys() | strays, key=label_key)
-        bits = {lab: 1 << n for n, lab in enumerate(order)}
-    full = sum(map(bits.__getitem__, manifold.labels()))
-    return [sum(map(bits.__getitem__, b)) for b in blocks], bits, full
-
-
 def validate_laminar(manifold: PrimeDecomposition, blocks) -> LaminarReport:
     """Check the laminar family invariants; returns diagnostics, never raises."""
     blocks = [frozenset(b) for b in blocks]
-    masks, _, full = _encode(manifold, blocks)
+    labels = manifold.label_bits.keys()
     violations: list[Violation] = []
-    for b, m in zip(blocks, masks):
-        if m & ~full:
+    for b in blocks:
+        if b - labels:
             violations.append(
                 Violation("unknown-label", (b,), _unknown_label_message(manifold, b))
             )
-        if not m:
+        if not b:
             violations.append(Violation("empty-block", (b,), "empty block"))
-        if m == full:
+        if b == labels:
             violations.append(
                 Violation("full-block", (b,), f"block equals L: {block_text(b)}")
             )
-    block_of = dict(zip(masks, blocks))
-    ordered = sorted(block_of, key=mask_key)
+    ordered = sorted(set(blocks), key=block_key)
     overlap = next(
         (
             (a, b)
             for n, a in enumerate(ordered)
             for b in ordered[n + 1 :]
-            if a & b not in (0, a, b)
+            if a & b not in (frozenset(), a, b)
         ),
         None,
     )
     if overlap:
-        a, b = (block_of[m] for m in overlap)
+        a, b = overlap
         violations.append(
             Violation(
                 "overlap",
@@ -370,7 +353,7 @@ def validate_laminar(manifold: PrimeDecomposition, blocks) -> LaminarReport:
                 "without nesting",
             )
         )
-    duplicates = tuple(block_of[m] for m in ordered if masks.count(m) > 1)
+    duplicates = tuple(b for b in ordered if blocks.count(b) > 1)
     return LaminarReport(not violations, tuple(violations), duplicates)
 
 
@@ -425,20 +408,21 @@ def _innermost(masks, bit: int) -> int:
 class Forest:
     """Nesting forest of a canonical block tuple.
 
-    Chambers are identified with block indices (the region between a block
-    and its children) plus ``ROOT`` for the region outside all blocks.
-    Equal (parallel) blocks are chained by index: the later copy nests
-    inside the earlier one.
+    The blocks must be a laminar family over L: ``family_masks`` raises
+    InvalidFamily otherwise.  Chambers are identified with block indices
+    (the region between a block and its children) plus ``ROOT`` for the
+    region outside all blocks.  Equal (parallel) blocks are chained by
+    index: the later copy nests inside the earlier one.
     """
 
     def __init__(self, manifold: PrimeDecomposition, blocks: tuple[frozenset, ...]):
         self.manifold = manifold
         self.blocks = tuple(blocks)
-        self._masks, self._bits, _ = _encode(manifold, self.blocks)
+        self._masks = family_masks(manifold, self.blocks)
         self.parent: list[int] = _nesting_parents(self._masks)
 
     def chamber_of_label(self, lab: Label) -> int:
-        return _innermost(self._masks, self._bits.get(lab, 0))
+        return _innermost(self._masks, self.manifold.label_bits.get(lab, 0))
 
 
 def _separates(manifold: PrimeDecomposition, mask: int) -> bool:

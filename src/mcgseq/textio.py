@@ -425,16 +425,35 @@ def image_to_jsonable(manifold: PrimeDecomposition, image: EductionImage) -> dic
     }
 
 
-def image_from_jsonable(manifold: PrimeDecomposition, data: dict) -> EductionImage:
-    try:
-        perm = tuple(int(v) for v in data["perm"])
-        tokens = tuple(
-            manifold.type_of(i).mcg.elem_from_text(data["tokens"][str(i)])
-            for i in range(1, manifold.k + 1)
+def image_from_jsonable(manifold: PrimeDecomposition, data) -> EductionImage:
+    """The image a JSON object describes, checked strictly.
+
+    ``perm`` must be a list of integers (booleans excluded) and ``tokens``
+    an object whose keys are exactly "1".."k", each mapped to an mcg element
+    text.  Anything else is a ParseError.
+    """
+    keys = [str(i) for i in range(1, manifold.k + 1)]
+    if not isinstance(data, dict):
+        raise ParseError("bad eduction image JSON: expected an object")
+    perm, tokens = data.get("perm"), data.get("tokens")
+    if not isinstance(perm, list) or any(type(v) is not int for v in perm):
+        raise ParseError("bad eduction image JSON: perm must be a list of integers")
+    if (
+        not isinstance(tokens, dict)
+        or tokens.keys() != set(keys)
+        or any(not isinstance(t, str) for t in tokens.values())
+    ):
+        raise ParseError(
+            "bad eduction image JSON: tokens must map exactly the keys "
+            f"1..{manifold.k} to element texts"
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad eduction image JSON: {exc}")
-    return EductionImage(perm, tokens)
+    return EductionImage(
+        tuple(perm),
+        tuple(
+            manifold.type_of(i).mcg.elem_from_text(tokens[key])
+            for i, key in enumerate(keys, 1)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,17 @@ summand 3 T
 handles 1
 """
 
+# three summands with free pi1 and a free, non-abelian mcg: aut merges and
+# the pushes of a slide past aut letters depend on their order, and the
+# swapIrr letters do not commute
+FREE_MCG_TEXT = """
+type H pi1=F2 mcg=F2 act=g1:g2,g1;g1^-1:g2,g1;g2:g1,g1*g2;g2^-1:g1,g1^-1*g2
+summand 1 H
+summand 2 H
+summand 3 H
+handles 1
+"""
+
 SPOTTED_TEXT = """
 type V0 pi1=Z/2 mcg=table[1,tau;1,tau|tau,1] act=tau:g1
 cap V0
@@ -67,6 +78,12 @@ def mixed_types():
 def s3_sign():
     """T # T # T # S^2 x S^1 with mcg(T) = S3 acting on Z/3 by the sign."""
     return build_manifold(S3_SIGN_TEXT)
+
+
+@pytest.fixture(scope="session")
+def free_mcg():
+    """H # H # H # S^2 x S^1 with pi1(H) = F2 and a free mcg acting on it."""
+    return build_manifold(FREE_MCG_TEXT)
 
 
 @pytest.fixture(scope="session")

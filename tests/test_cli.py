@@ -206,6 +206,15 @@ class TestLift:
         assert code == 0
         assert out.strip() == "swapIrr(1,2) aut(2,tau)"
 
+    def test_image_of_wrong_type_is_parse_error(self, tmp_path):
+        img = tmp_path / "img.json"
+        img.write_text(json.dumps({"perm": [2.7, "1"], "tokens": {"1": "tau", "2": "1"}}))
+        code, out = run_cli("lift", "--manifold", fx("mstar.txt"), "--image", str(img))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse"
+        assert error["message"].startswith("bad eduction image JSON: ")
+
 
 class TestActs:
     def test_act_pi1_element(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mcgseq import fpgroup, words as w
-from mcgseq.errors import OracleError, ParseError
+from mcgseq.errors import InvalidWord, OracleError, ParseError
 from mcgseq.oracles import MAX_EXPONENT
 from mcgseq.fpgroup import (
     AutTable,
@@ -71,15 +71,41 @@ class TestActPi1:
         for u in [(g(1),), (x(1), g(2), x(2, -1)), ()]:
             assert act_pi1(mstar, word, u) == u
 
-    def test_transvection_sidedness(self, mstar):
-        plus = parse_word(mstar, "slideEnd(1,+; g1@2)")
-        minus = parse_word(mstar, "slideEnd(1,-; g1@2)")
-        assert act_pi1(mstar, plus, (x(1),)) == (x(1), g(2))
-        assert act_pi1(mstar, minus, (x(1),)) == (g(2), x(1))
+    # slideEnd(1, sign; gamma) with gamma = g1@2 x2, gamma^-1 = x2^-1 g1@2:
+    # x1^s -> x1^s gamma when s is the sign, gamma^-1 x1^s otherwise
+    @pytest.mark.parametrize(
+        "sign, s, expected",
+        [
+            ("+", 1, (x(1), g(2), x(2))),
+            ("+", -1, (x(2, -1), g(2), x(1, -1))),
+            ("-", 1, (x(2, -1), g(2), x(1))),
+            ("-", -1, (x(1, -1), g(2), x(2))),
+        ],
+        ids=["plus-x1", "plus-x1inv", "minus-x1", "minus-x1inv"],
+    )
+    def test_transvection_sidedness(self, mstar, sign, s, expected):
+        word = parse_word(mstar, f"slideEnd(1,{sign}; g1@2 x2)")
+        assert act_pi1(mstar, word, (x(1, s),)) == expected
 
     def test_slide_handle_conjugates(self, mstar):
         word = parse_word(mstar, "slideHandle(1; x2)")
         assert act_pi1(mstar, word, (x(1),)) == (x(2, -1), x(1), x(2))
+
+    def test_slide_handle_conjugates_inverse(self, mstar):
+        # x1^-1 -> gamma^-1 x1^-1 gamma with gamma = x2 g1@1, gamma^-1 = g1@1 x2^-1
+        word = parse_word(mstar, "slideHandle(1; x2 g1@1)")
+        u = (g(2), x(1, -1), x(2))
+        expected = (g(2), g(1), x(2, -1), x(1, -1), x(2), g(1), x(2))
+        assert act_pi1(mstar, word, u) == expected
+
+    def test_swap_handles_exchanges_indices(self, mstar):
+        word = parse_word(mstar, "swapHandles(1,2)")
+        u = (x(1), g(1), x(2, -1), g(2), x(1, -1))
+        assert act_pi1(mstar, word, u) == (x(2), g(1), x(1, -1), g(2), x(2, -1))
+
+    def test_rejects_word_of_another_manifold(self, mstar, s3_sign):
+        with pytest.raises(InvalidWord):
+            act_pi1(s3_sign, parse_word(mstar, "spin(1)"), ())
 
 
 class TestAutTable:
@@ -193,6 +219,13 @@ class TestAbelianized:
         assert img[1] == (1, 0)
         assert img[0][1] == 1  # the Z/2 generator of factor 2 appears
 
+    @pytest.mark.parametrize("text", ["spin(1)", "spin(2)"])
+    def test_rejects_word_of_another_manifold(self, mstar, s3_sign, text):
+        # s3_sign has one handle: spin(2) names a handle it lacks, and
+        # spin(1) names another manifold's handle
+        with pytest.raises(InvalidWord, match="different manifold"):
+            abelianized_action(s3_sign, parse_word(mstar, text))
+
     def test_matches_table_route(self, mstar):
         rng = random.Random(19)
         for _ in range(80):
@@ -258,6 +291,21 @@ class TestExoticOracles:
         assert act_pi1(exotic, word, u) == parse_fpword(exotic, "g2@2")
         squared = w.compose(word, word)
         assert act_pi1(exotic, squared, u) == u
+
+    # the exotic fixture's free factor has a trivial mcg and no homeomorphic
+    # partner, so aut and swapIrr on a free factor use free_mcg: three F2
+    # summands, token g2 sending (g1, g2) to (g1, g1*g2)
+    def test_aut_on_free_factor(self, free_mcg):
+        word = parse_word(free_mcg, "aut(2,g2)")
+        u = parse_fpword(free_mcg, "g1*g2@2 x1 g2@1 g2^-1@2")
+        expected = parse_fpword(free_mcg, "g1^2*g2@2 x1 g2@1 g2^-1*g1^-1@2")
+        assert act_pi1(free_mcg, word, u) == expected
+
+    def test_swap_irr_on_free_factor(self, free_mcg):
+        word = parse_word(free_mcg, "swapIrr(1,3)")
+        u = parse_fpword(free_mcg, "g1*g2^-1@1 x1 g2@3 g1@2 g1@3")
+        expected = parse_fpword(free_mcg, "g1*g2^-1@3 x1 g2@1 g1@2 g1@1")
+        assert act_pi1(free_mcg, word, u) == expected
 
     def test_ab_routes_agree(self, exotic):
         rng = random.Random(83)

@@ -166,6 +166,20 @@ class TestValidateLaminar:
         assert report.ok
         assert report.duplicates == (frozenset({s_label(1)}),)
 
+    def test_stray_label_orders_overlap_and_duplicates(self, mstar):
+        # s3 lies outside L; in label_key order it sorts after s1 and s2 and
+        # before every handle end, so {s1,s3} comes first among the blocks
+        a = frozenset({s_label(1), e_label(1, 1)})
+        b = frozenset({s_label(3), e_label(1, 1)})
+        c = frozenset({s_label(1), s_label(3)})
+        report = validate_laminar(mstar, [a, b, c, a, c])
+        assert [v.code for v in report.violations] == ["unknown-label"] * 3 + ["overlap"]
+        assert report.violations[-1].blocks == (c, a)
+        assert report.violations[-1].message == (
+            "blocks {s1,s3} and {s1,e1+} overlap without nesting"
+        )
+        assert report.duplicates == (c, a)
+
 
 class TestClassify:
     def test_standard_symmetric(self, k2l1):

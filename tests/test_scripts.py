@@ -1,0 +1,69 @@
+"""The helper scripts in ``scripts/`` import private package names
+(``systems._normalize``, ``systems._reachability``): run each one on the
+mstar fixture in a subprocess and check its exit code and key lines."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MSTAR = str(ROOT / "fixtures" / "mstar.txt")
+
+
+def _run(script, *args):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script, args, lines",
+    [
+        (
+            "demo_normalize.py",
+            ("--manifold", MSTAR),
+            ["replay lands on the target family with the requested assignment"],
+        ),
+        (
+            "enumerate_symmetric.py",
+            ("--manifold", MSTAR, "--lengths"),
+            ["symmetric systems: 324", "unreachable: 0"],
+        ),
+    ],
+    ids=["demo_normalize", "enumerate_symmetric"],
+)
+def test_script_runs(script, args, lines):
+    proc = _run(script, *args)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    for line in lines:
+        assert any(row.startswith(line) for row in out), line
+
+
+def test_run_suites_passes_every_suite():
+    proc = _run("run_suites.py", "--manifold", MSTAR, "--quick")
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [row.split()[:2] for row in proc.stdout.splitlines()]
+    assert verdicts == [
+        ["PASS", suite]
+        for suite in (
+            "exactness",
+            "normalization",
+            "pi1",
+            "relations",
+            "spotted",
+            "roundtrip",
+        )
+    ]

@@ -166,9 +166,25 @@ class TestImageJson:
         assert data == {"perm": [1, 2], "tokens": {"1": "tau", "2": "1"}}
         assert image_from_jsonable(mstar, data) == image
 
-    def test_bad_json(self, mstar):
-        with pytest.raises(ParseError):
-            image_from_jsonable(mstar, {"perm": [1, 2]})
+    def test_bad_json(self, mstar, free_mcg):
+        tokens = {"1": "tau", "2": "1"}
+        for data in [
+            {"perm": [1, 2]},
+            {"perm": [2.7, "1"], "tokens": tokens},
+            {"perm": "21", "tokens": tokens},
+            {"perm": [True, 2], "tokens": tokens},
+            {"perm": [1, 2], "tokens": {**tokens, "3": "tau"}},
+            {"perm": [1, 2], "tokens": {"1": "tau"}},
+            {"perm": [1, 2], "tokens": {"1": 1, "2": "1"}},
+            {"perm": [1, 2], "tokens": ["tau", "1"]},
+            [[1, 2], tokens],
+        ]:
+            with pytest.raises(ParseError, match="bad eduction image JSON"):
+                image_from_jsonable(mstar, data)
+        # a free mcg reads element texts with str methods
+        with pytest.raises(ParseError, match="bad eduction image JSON"):
+            data = {"perm": [1, 2, 3], "tokens": {"1": 5, "2": "1", "3": "1"}}
+            image_from_jsonable(free_mcg, data)
 
 
 class TestSpottedFormat:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from mcgseq import build_manifold, fpgroup, sequence, systems, words as w
+from mcgseq import fpgroup, sequence, systems, words as w
 from mcgseq.errors import InvalidWord, ManifoldMismatch, NotDiscrepant, OracleError
 from mcgseq.fpgroup import act_pi1, generator_words
 from mcgseq.textio import parse_fpword, parse_word, word_text
@@ -479,23 +479,6 @@ def _assert_matches_reference(word):
     assert _factor_outcome(sequence.factor_discrepant, word) == _factor_outcome(
         _ref_factor_discrepant, word
     ), word_text(word)
-
-
-# three summands with free pi1 and a free, non-abelian mcg: aut merges and
-# the pushes of a slide past aut letters depend on their order, and the
-# swapIrr letters do not commute
-FREE_MCG_TEXT = """
-type H pi1=F2 mcg=F2 act=g1:g2,g1;g1^-1:g2,g1;g2:g1,g1*g2;g2^-1:g1,g1^-1*g2
-summand 1 H
-summand 2 H
-summand 3 H
-handles 1
-"""
-
-
-@pytest.fixture(scope="module")
-def free_mcg():
-    return build_manifold(FREE_MCG_TEXT)
 
 
 class TestSinglePassMatchesReference:
