@@ -1,8 +1,10 @@
 """Command-line front end: parsing, dispatch, JSON/DOT emission.
 
-Exit codes: 0 success, 1 domain error (structured JSON on stdout), 2
-parse/config error.  Identical inputs and seed produce byte-identical
-output.  Set MCGSEQ_LOG to a logging level name for diagnostics on stderr.
+Each subcommand takes only the options it reads (``COMMANDS``).  Exit
+codes: 0 success, 1 domain error, 2 parse/config error; every error, a
+usage error too, is one JSON line on stdout.  Identical inputs and seed
+produce byte-identical output.  Set MCGSEQ_LOG to a logging level name
+for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -28,24 +30,11 @@ log = logging.getLogger("mcgseq")
 MAX_LEN_GUARD = 6
 
 
-def _check_args(args: argparse.Namespace) -> None:
-    """Reject suite parameters out of range and input files that do not exist."""
-    if args.max_len is not None and args.max_len < 0:
-        raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
-    if args.case_limit is not None and args.case_limit < 1:
-        raise ParseError(f"--case-limit must be >= 1, got {args.case_limit}")
-    if (
-        args.max_len is not None
-        and args.max_len > MAX_LEN_GUARD
-        and not args.allow_long
-    ):
-        raise ParseError(
-            f"--max-len {args.max_len} exceeds the default guard "
-            f"{MAX_LEN_GUARD}; pass --allow-long to override"
-        )
-    for path in (args.manifold, args.family, args.word, args.assignment, args.image):
-        if path is not None and not os.path.exists(path):
-            raise FileNotFoundError(f"input file not found: {path}")
+class _Parser(argparse.ArgumentParser):
+    """Raise usage errors as ParseError, which ``main`` prints as JSON."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _read(path: str) -> str:
@@ -73,26 +62,14 @@ def _emit_json(args, payload) -> None:
 
 
 def _load_manifold(args):
-    if not args.manifold:
-        raise ParseError("this command needs --manifold")
     return textio.parse_manifold(_read(args.manifold))
 
 
-def _load_marking(args, command: str):
-    if not args.manifold:
-        raise ParseError(f"{command} needs --manifold (a spotted marking file)")
-    return textio.parse_spotted_marking(_read(args.manifold))
-
-
-def _load_family(args, manifold):
-    if not args.family:
-        raise ParseError("this command needs --family")
+def _load_family(args):
     return textio.parse_family(_read(args.family))
 
 
 def _load_word(args, manifold):
-    if not args.word:
-        raise ParseError("this command needs --word")
     return textio.parse_word(manifold, _read(args.word))
 
 
@@ -106,7 +83,7 @@ def _family_jsonable(family):
 
 def cmd_validate(args):
     manifold = _load_manifold(args)
-    family = _load_family(args, manifold)
+    family = _load_family(args)
     report = validate_laminar(manifold, family.blocks)
     _emit_json(
         args,
@@ -128,7 +105,7 @@ def cmd_validate(args):
 
 def cmd_classify(args):
     manifold = _load_manifold(args)
-    family = _load_family(args, manifold)
+    family = _load_family(args)
     cls = classify_system(manifold, family)
     _emit_json(
         args,
@@ -161,16 +138,14 @@ def cmd_educe(args):
 
 def cmd_lift(args):
     manifold = _load_manifold(args)
-    if args.image:
+    if args.image is not None:
         try:
             data = json.loads(_read(args.image))
         except ValueError as exc:  # malformed JSON, or an integer of > 4,300 digits
             raise ParseError(f"bad eduction image JSON: {exc}")
         image = textio.image_from_jsonable(manifold, data)
-    elif args.word:
-        image = sequence.educe(_load_word(args, manifold))
     else:
-        raise ParseError("lift needs --image or --word")
+        image = sequence.educe(_load_word(args, manifold))
     lifted = sequence.lift(manifold, image)
     if args.format == "text":
         _emit(args, textio.word_text(lifted))
@@ -207,7 +182,7 @@ def cmd_factor(args):
 def cmd_act_pi1(args):
     manifold = _load_manifold(args)
     word = _load_word(args, manifold)
-    if args.element:
+    if args.element is not None:
         u = textio.parse_fpword(manifold, args.element)
         result = fpgroup.act_pi1(manifold, word, u)
         _emit_json(args, {"result": textio.fpword_text(manifold, result)})
@@ -226,7 +201,7 @@ def cmd_act_pi1(args):
 def cmd_act_system(args):
     manifold = _load_manifold(args)
     word = _load_word(args, manifold)
-    family = _load_family(args, manifold)
+    family = _load_family(args)
     image = systems.act_system(manifold, word, family)
     if args.format == "dot":
         _emit(args, systems.family_dot(manifold, image, name="image"))
@@ -239,9 +214,7 @@ def cmd_act_system(args):
 
 def cmd_normalize_system(args):
     manifold = _load_manifold(args)
-    family = _load_family(args, manifold)
-    if not args.assignment:
-        raise ParseError("normalize-system needs --assignment")
+    family = _load_family(args)
     assignment = textio.parse_assignment(manifold, _read(args.assignment))
     word = systems.normalize_system(manifold, family, assignment)
     std = standard_system(manifold)
@@ -275,9 +248,7 @@ def cmd_normalize_system(args):
 
 
 def cmd_spotted_educe(args):
-    marking = _load_marking(args, "spotted-educe")
-    if not args.word:
-        raise ParseError("spotted-educe needs --word")
+    marking = textio.parse_spotted_marking(_read(args.manifold))
     letters = textio.parse_spotted_word(marking, _read(args.word))
     cap, perm = sequence.spotted_educe(marking, letters)
     _emit_json(
@@ -291,14 +262,23 @@ def cmd_spotted_educe(args):
 
 
 def cmd_verify(args):
+    if args.max_len < 0:
+        raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
+    if args.case_limit is not None and args.case_limit < 1:
+        raise ParseError(f"--case-limit must be >= 1, got {args.case_limit}")
+    if args.max_len > MAX_LEN_GUARD and not args.allow_long:
+        raise ParseError(
+            f"--max-len {args.max_len} exceeds the default guard "
+            f"{MAX_LEN_GUARD}; pass --allow-long to override"
+        )
     suite = verify.SUITES.get(args.suite)
     if suite is None:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}"
         )
-    max_len = args.max_len if args.max_len is not None else 3
+    max_len = args.max_len
     if args.suite == "spotted":
-        marking = _load_marking(args, "verify --suite spotted")
+        marking = textio.parse_spotted_marking(_read(args.manifold))
         report = suite(marking, max_len=max_len)
     else:
         manifold = _load_manifold(args)
@@ -318,7 +298,7 @@ def cmd_verify(args):
 
 def cmd_render(args):
     manifold = _load_manifold(args)
-    family = _load_family(args, manifold)
+    family = _load_family(args)
     family_masks(manifold, family.blocks)  # InvalidFamily unless laminar over L
     if args.format == "json":
         _emit_json(args, {"family": _family_jsonable(family)})
@@ -327,65 +307,79 @@ def cmd_render(args):
     return 0
 
 
+# Input files, in the order main checks that they exist.  A command that
+# declares one requires it; "image|word" requires exactly one of the two.
+INPUTS = {
+    "manifold": "manifold (or spotted marking) file",
+    "family": "laminar family file",
+    "word": "word file",
+    "assignment": "assignment file",
+    "image": "eduction image JSON file",
+}
+OPTIONS = {
+    "element": dict(help="pi1 word to act on (default: every generator's image)"),
+    "suite": dict(required=True, help=f"one of {', '.join(sorted(verify.SUITES))}"),
+    "seed": dict(type=int, default=7),
+    "max-len": dict(type=int, default=3),
+    "case-limit": dict(type=int),
+    "allow-long": dict(action="store_true", help="lift the max-len guard"),
+}
+
+# Each subcommand: its handler, the inputs and options it reads, and the
+# --format values it emits (none: JSON only).  Every subcommand takes --out.
 COMMANDS = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "educe": cmd_educe,
-    "lift": cmd_lift,
-    "kernel-test": cmd_kernel_test,
-    "factor": cmd_factor,
-    "act-pi1": cmd_act_pi1,
-    "act-system": cmd_act_system,
-    "normalize-system": cmd_normalize_system,
-    "spotted-educe": cmd_spotted_educe,
-    "verify": cmd_verify,
-    "render": cmd_render,
+    "validate": (cmd_validate, "manifold family", ""),
+    "classify": (cmd_classify, "manifold family", ""),
+    "educe": (cmd_educe, "manifold word", ""),
+    "lift": (cmd_lift, "manifold image|word", "json text"),
+    "kernel-test": (cmd_kernel_test, "manifold word", ""),
+    "factor": (cmd_factor, "manifold word", "json text"),
+    "act-pi1": (cmd_act_pi1, "manifold word element", ""),
+    "act-system": (cmd_act_system, "manifold word family", "json text dot"),
+    "normalize-system": (
+        cmd_normalize_system, "manifold family assignment", "json text dot"
+    ),
+    "spotted-educe": (cmd_spotted_educe, "manifold word", ""),
+    "verify": (cmd_verify, "suite manifold seed max-len case-limit allow-long", ""),
+    "render": (cmd_render, "manifold family", "json dot"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcgseq",
         description="Mapping class group calculus for reducible 3-manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (handler, options, formats) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--manifold", help="manifold (or spotted marking) file")
-        p.add_argument("--family", help="laminar family file")
-        p.add_argument("--word", help="word file")
-        p.add_argument("--assignment", help="assignment file")
-        p.add_argument("--image", help="eduction image JSON file")
-        p.add_argument("--element", help="pi1 word text (act-pi1)")
-        p.add_argument(
-            "--format", choices=("json", "text", "dot"), default="json"
-        )
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--max-len", dest="max_len", type=int, default=None)
-        p.add_argument(
-            "--case-limit", dest="case_limit", type=int, default=None
-        )
-        p.add_argument(
-            "--allow-long",
-            action="store_true",
-            help="lift the max-len guard",
-        )
+        p.set_defaults(handler=handler)
+        for option in options.split():
+            if "|" in option:
+                group = p.add_mutually_exclusive_group(required=True)
+                for one in option.split("|"):
+                    group.add_argument(f"--{one}", help=INPUTS[one])
+            elif option in INPUTS:
+                p.add_argument(f"--{option}", required=True, help=INPUTS[option])
+            else:
+                p.add_argument(f"--{option}", **OPTIONS[option])
+        if formats:
+            p.add_argument("--format", choices=formats.split(), default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        if name == "verify":
-            p.add_argument("--suite", required=True)
     return parser
 
 
 def main(argv=None) -> int:
     level = os.environ.get("MCGSEQ_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = COMMANDS[args.command]
     try:
-        _check_args(args)
+        args = build_parser().parse_args(argv)
+        for name in INPUTS:
+            path = getattr(args, name, None)
+            if path is not None and not os.path.exists(path):
+                raise FileNotFoundError(f"input file not found: {path}")
         log.info("running %s", args.command)
-        return handler(args)
+        return args.handler(args)
     except ParseError as exc:
         json.dump({"error": {"kind": "parse", "message": str(exc)}}, sys.stdout)
         sys.stdout.write("\n")

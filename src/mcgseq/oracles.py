@@ -378,6 +378,8 @@ class TableOracle(GroupOracle):
     table: tuple[tuple[int, ...], ...]
     _identity_index: int = field(init=False, repr=False, compare=False, default=-1)
     _index_of: dict = field(init=False, repr=False, compare=False, default=None)
+    # set on first use: the quotient is a TableOracle, so __post_init__ would recurse
+    _abelianization: tuple = field(init=False, repr=False, compare=False, default=None)
 
     kind = "table"
 
@@ -482,6 +484,11 @@ class TableOracle(GroupOracle):
         return iter(self.names)
 
     def abelianized(self):
+        if self._abelianization is None:
+            object.__setattr__(self, "_abelianization", self._abelianize())
+        return self._abelianization
+
+    def _abelianize(self):
         commutators = set()
         for a in self.names:
             for b in self.names:

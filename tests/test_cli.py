@@ -230,6 +230,20 @@ class TestActs:
         assert code == 0
         assert json.loads(out)["result"] == "x1^-1 g1@1 x1"
 
+    @pytest.mark.parametrize("element", ["", "e"])
+    def test_act_pi1_identity_element(self, element):
+        code, out = run_cli(
+            "act-pi1",
+            "--manifold",
+            fx("mstar.txt"),
+            "--word",
+            fx("word_slide.txt"),
+            "--element",
+            element,
+        )
+        assert code == 0
+        assert json.loads(out) == {"result": "e"}
+
     def test_act_system(self):
         code, out = run_cli(
             "act-system",
@@ -469,9 +483,127 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"] == {
             "kind": "parse",
-            "message": "verify --suite spotted needs --manifold "
-            "(a spotted marking file)",
+            "message": "the following arguments are required: --manifold",
         }
+
+
+# The options of each subcommand, as its usage line prints them.
+USAGE = {
+    "validate": "--manifold MANIFOLD --family FAMILY [--out OUT]",
+    "classify": "--manifold MANIFOLD --family FAMILY [--out OUT]",
+    "educe": "--manifold MANIFOLD --word WORD [--out OUT]",
+    "lift": "--manifold MANIFOLD (--image IMAGE | --word WORD) "
+    "[--format {json,text}] [--out OUT]",
+    "kernel-test": "--manifold MANIFOLD --word WORD [--out OUT]",
+    "factor": "--manifold MANIFOLD --word WORD [--format {json,text}] [--out OUT]",
+    "act-pi1": "--manifold MANIFOLD --word WORD [--element ELEMENT] [--out OUT]",
+    "act-system": "--manifold MANIFOLD --word WORD --family FAMILY "
+    "[--format {json,text,dot}] [--out OUT]",
+    "normalize-system": "--manifold MANIFOLD --family FAMILY "
+    "--assignment ASSIGNMENT [--format {json,text,dot}] [--out OUT]",
+    "spotted-educe": "--manifold MANIFOLD --word WORD [--out OUT]",
+    "verify": "--suite SUITE --manifold MANIFOLD [--seed SEED] [--max-len MAX_LEN] "
+    "[--case-limit CASE_LIMIT] [--allow-long] [--out OUT]",
+    "render": "--manifold MANIFOLD --family FAMILY [--format {json,dot}] [--out OUT]",
+}
+# Every subcommand took these options before each declared its own.
+PARENT_OPTIONS = ("manifold", "family", "word", "assignment", "image", "element",
+                  "format", "seed", "max-len", "case-limit", "allow-long", "out")
+# A valid invocation of each subcommand.
+VALID = {
+    "validate": ("--family", "family_slid.txt"),
+    "classify": ("--family", "family_slid.txt"),
+    "educe": ("--word", "word_aut.txt"),
+    "lift": ("--word", "word_aut.txt"),
+    "kernel-test": ("--word", "word_aut.txt"),
+    "factor": ("--word", "word_slide.txt"),
+    "act-pi1": ("--word", "word_slide.txt"),
+    "act-system": ("--word", "word_slide.txt", "--family", "family_standard.txt"),
+    "normalize-system": ("--family", "family_slid.txt",
+                         "--assignment", "assignment_slid.txt"),
+    "spotted-educe": ("--manifold", "spotted.txt", "--word", "word_spotted.txt"),
+    "verify": ("--suite", "spotted", "--manifold", "spotted.txt"),
+    "render": ("--family", "family_slid.txt"),
+}
+
+
+def _valid_argv(command):
+    argv = [command, "--manifold", fx("mstar.txt")]
+    return argv + [fx(a) if a.endswith(".txt") else a for a in VALID[command]]
+
+
+def _usage_error(*argv):
+    """cli.main on argv, which must fail as a usage error: one JSON line on
+    stdout, exit 2 and nothing on stderr; the error message."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert (code, out.count("\n"), err.getvalue()) == (2, 1, "")
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse"
+    return error["message"]
+
+
+class TestInterface:
+    def test_usage_of_each_subcommand(self):
+        from mcgseq.cli import COMMANDS
+
+        usage = {}
+        for command in COMMANDS:
+            buf = io.StringIO()
+            with redirect_stdout(buf), pytest.raises(SystemExit) as exit:
+                main([command, "--help"])
+            assert exit.value.code == 0
+            line = " ".join(buf.getvalue().split("\n\n")[0].split())
+            usage[command] = line.removeprefix(f"usage: mcgseq {command} [-h] ")
+        assert usage == USAGE
+        assert sum(line.count("--") for line in USAGE.values()) == 49
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_undeclared_option_is_usage_error(self, command):
+        declared = set(re.findall(r"--([a-z-]+)", USAGE[command]))
+        undeclared = [o for o in PARENT_OPTIONS if o not in declared]
+        assert undeclared
+        for option in undeclared:
+            extra = [f"--{option}"] + ([] if option == "allow-long" else ["7"])
+            assert _usage_error(*_valid_argv(command), *extra) == (
+                f"unrecognized arguments: {' '.join(extra)}"
+            )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "the following arguments are required: command"),
+            (("educe", "--bogus"),
+             "the following arguments are required: --manifold, --word"),
+            (("educe", "--manifold", fx("mstar.txt"), "--word", fx("word_aut.txt"),
+              "--seed", "x"), "unrecognized arguments: --seed x"),
+            (("render", "--manifold", fx("mstar.txt"), "--family",
+              fx("family_slid.txt"), "--format", "text"),
+             "argument --format: invalid choice: 'text'"),
+            (("lift", "--manifold", fx("mstar.txt")),
+             "one of the arguments --image --word is required"),
+            (("nosuch",), "argument command: invalid choice: 'nosuch'"),
+        ],
+    )
+    def test_usage_error_is_json(self, argv, message):
+        # the list of choices after an invalid one is worded by the Python version
+        assert _usage_error(*argv).startswith(message)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--suite", "relations", "--family", fx("family_slid.txt")),
+             "unrecognized arguments: --family " + fx("family_slid.txt")),
+            (("--suite", "relations", "--format", "text"),
+             "unrecognized arguments: --format text"),
+            (("--suite", "relations", "--max-len", "x"),
+             "argument --max-len: invalid int value: 'x'"),
+            ((), "the following arguments are required: --suite"),
+        ],
+    )
+    def test_verify_usage_errors(self, extra, message):
+        assert _usage_error("verify", "--manifold", fx("mstar.txt"), *extra) == message
 
 
 class TestVerifyCommand:
@@ -616,6 +748,28 @@ def _edit(text, edits):
     return "\n".join(lines) + "\n"
 
 
+# JSON values for the fields of an eduction image, NaN and infinities included.
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+    | st.sampled_from(("tau", "1", "2", "")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("1", "2", "3", "tau")), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _argument(command):
+    """An option, half the time one the command declares, else any of the
+    former common set, with a value: a fixture, a format name or a bad
+    number.  An --out value is replaced by a temporary path."""
+    declared = sorted(set(re.findall(r"--([a-z-]+)", USAGE[command])))
+    return st.tuples(
+        st.sampled_from(declared) | st.sampled_from(PARENT_OPTIONS),
+        st.sampled_from(sorted(p.name for p in FIXTURES.iterdir())).map(fx)
+        | st.sampled_from(("json", "text", "dot", "7", "-1", "x")),
+    )
+
+
 def _run_fuzzed(command, texts, *options):
     """cli.main in-process on files holding the texts, with any further
     options; exit code, stdout and stderr."""
@@ -712,6 +866,31 @@ class TestFuzzedInputs:
 
     @settings(max_examples=120, deadline=None)
     @given(
+        st.lists(MUTATION, max_size=4),
+        st.lists(WORD_EDIT, max_size=3),
+    )
+    def test_spotted_educe(self, mutations, edits):
+        letters = "capAut(tau)\nspotSwap(1,2)\nspotSlide(2; g1)\nspotTwist(3)"
+        word = _edit(_mutate(letters, mutations), edits)
+        _assert_structured(*_run_fuzzed(
+            "spotted-educe", {"manifold": SPOTTED, "word": word}
+        ))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.fixed_dictionaries({}, optional={
+            "perm": st.sampled_from(([1, 2], [2, 1])) | JSON_VALUE,
+            "tokens": st.sampled_from(({"1": "tau", "2": "1"}, {"1": "1", "2": "1"}))
+            | JSON_VALUE,
+        }),
+        st.lists(WORD_EDIT, max_size=3),
+    )
+    def test_lift_image(self, image, edits):
+        text = _edit(json.dumps(image), edits)
+        _assert_structured(*_run_fuzzed("lift", {"image": text}))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
         st.sampled_from(("family_slid.txt", "family_standard.txt")),
         st.sampled_from(("word_aut.txt", "word_slide.txt")),
         st.lists(MUTATION, max_size=4),
@@ -722,3 +901,26 @@ class TestFuzzedInputs:
             "family": family,
             "word": (FIXTURES / word_name).read_text(),
         }))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("command", sorted(set(VALID) - {"verify"}))
+    def test_argv(self, command, data):
+        """A valid invocation followed by further options, which may replace
+        its inputs.  verify is left out: a suite's run has no work bound yet,
+        so its usage errors are tested in TestInterface instead."""
+        arguments = data.draw(st.lists(_argument(command), max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            written = Path(tmp) / "out.txt"
+            argv = _valid_argv(command)[3:]
+            for option, value in arguments:
+                argv += [f"--{option}", str(written) if option == "out" else value]
+            code, out, err = _run_fuzzed(command, {}, *argv)
+            if code == 0 and written.exists():
+                assert out == ""
+                out = written.read_text(encoding="utf-8")
+        formats = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--format"]
+        if code == 0 and formats[-1:] in (["text"], ["dot"]):
+            assert out and "Traceback" not in err
+        else:
+            _assert_structured(code, out, err)

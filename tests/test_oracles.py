@@ -127,6 +127,11 @@ class TestTable:
         assert project["s"] != ab.identity
         assert ab.mul(project["s"], project["sr"]) == project["r"] == ab.identity
 
+    def test_abelianization_is_computed_once(self):
+        s3 = _s3_table()
+        assert s3.abelianized() is s3.abelianized()
+        assert s3 == _s3_table() and hash(s3) == hash(_s3_table())
+
     def test_abelianization_of_abelian_is_identity(self):
         ab, project = Z2_TABLE.abelianized()
         assert len(ab.names) == 2
