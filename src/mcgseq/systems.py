@@ -148,12 +148,19 @@ def act_letter_blocks(
 def act_system(
     manifold: PrimeDecomposition, word: w.Word, family: LaminarFamily
 ) -> LaminarFamily:
-    """Fold the word's letters left-to-right over the family."""
+    """Fold the word's letters left-to-right over the family.
+
+    On the standard system, whose masks are ``_standard_slots`` (block_key
+    orders singletons by bit), this is the word's ``_standard_fold``.
+    """
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
     masks = family_masks(manifold, family.blocks)
-    for letter in word.letters:
-        masks = _act_masks(manifold, letter, masks)
+    if masks == _standard_slots(manifold):
+        masks = _standard_fold(manifold, word)[0]
+    else:
+        for letter in word.letters:
+            masks = _act_masks(manifold, letter, masks)
     # mask_key sorts masks as block_key sorts their blocks: no re-sort
     return LaminarFamily(tuple(map(manifold.block_of, sorted(masks, key=mask_key))))
 
@@ -165,9 +172,15 @@ def act_system(
 # d(i); slot k+j carries d(j,+) on its 'in' side and d(j,-) on its 'out'
 # side until spins exchange them.  Slides carry tokens along (no change),
 # spins swap the two sides of their handle, and interchanges move tokens
-# only through the relabeling of slot contents.
+# only through the relabeling of slot contents.  A word keeps this fold of
+# the standard system in its ``_fold`` slot: ``_standard_fold``, its only
+# writer, runs ``_fold_state`` once per word, and both replay checks
+# (``act_system`` on the standard system and ``trace_assignment``) read it.
+# ``_normalize`` never seeds it from its search key, so a replay always
+# folds the certificate's letters rather than reading the search's claim.
 
 
+@functools.lru_cache(maxsize=None)
 def _standard_slots(manifold: PrimeDecomposition) -> tuple[int, ...]:
     bits = manifold.label_bits
     slots = [bits[s_label(i)] for i in range(1, manifold.k + 1)]
@@ -186,13 +199,25 @@ def _fold_state(manifold: PrimeDecomposition, letters):
     return slots, tuple(bits)
 
 
+def _standard_fold(manifold: PrimeDecomposition, word: w.Word):
+    """``_fold_state`` of the word's letters, folded once per word and kept
+    in its ``_fold`` slot; a fold that raises keeps nothing."""
+    try:
+        return word._fold
+    except AttributeError:  # not folded yet
+        pass
+    fold = _fold_state(manifold, word.letters)
+    w._set_fold(word, fold)
+    return fold
+
+
 def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
     """The duplicate correspondence induced by a word on the standard system:
-    the slot blocks and spin bits of ``_fold_state``, encoded by
-    ``model._assignment``."""
+    the slot blocks and spin bits of the word's ``_standard_fold``, encoded
+    by ``model._assignment``."""
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
-    masks, bits = _fold_state(manifold, word.letters)
+    masks, bits = _standard_fold(manifold, word)
     if not _is_symmetric(manifold, masks):
         raise NotSymmetric(
             "word does not carry the standard system to a symmetric system"

@@ -5,8 +5,10 @@ Convention (used package-wide): words act left-to-right, so acting with
 
 A ``Word`` is an immutable value, the pair (manifold, letters), that
 carries its eduction once ``sequence.is_discrepant`` or
-``sequence.factor_discrepant`` has folded it; every function here builds
-a new word, which starts without one.
+``sequence.factor_discrepant`` has folded it, and its fold of the standard
+sphere system once ``systems._standard_fold``, the memo's one writer, has
+run it for ``act_system`` or ``trace_assignment``; every function here
+builds a new word, which starts with neither.
 """
 
 from __future__ import annotations
@@ -152,12 +154,16 @@ class Word:
 
     Equality, hash and repr are those of the pair (manifold, letters).  The
     ``_image`` slot keeps the word's eduction once ``sequence._eduction``
-    has folded it (None until then); it takes no part in equality, hash,
+    has folded it (None until then).  The ``_fold`` slot keeps the
+    (slot masks, spin bits) of the standard system carried along the word
+    once ``systems._standard_fold`` has folded it; it is left unset until
+    then, so that building a word stores nothing more, and reading it
+    raises AttributeError.  Neither memo takes part in equality, hash,
     repr, pickling or copying.  Slots are written through their
     descriptors, so ``__setattr__`` can refuse every assignment.
     """
 
-    __slots__ = ("manifold", "letters", "_image")
+    __slots__ = ("manifold", "letters", "_image", "_fold")
 
     def __init__(self, manifold: PrimeDecomposition, letters: tuple):
         _set_manifold(self, manifold)
@@ -182,7 +188,7 @@ class Word:
         return f"Word(manifold={self.manifold!r}, letters={self.letters!r})"
 
     def __reduce__(self):
-        # rebuild on unpickling and copying, without the eduction
+        # rebuild on unpickling and copying, without the memos
         return (Word, (self.manifold, self.letters))
 
     @classmethod
@@ -202,6 +208,7 @@ class Word:
 _set_manifold = Word.manifold.__set__
 _set_letters = Word.letters.__set__
 _set_image = Word._image.__set__
+_set_fold = Word._fold.__set__
 
 
 def empty_word(manifold: PrimeDecomposition) -> Word:

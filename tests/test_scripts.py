@@ -1,6 +1,7 @@
 """The helper scripts in ``scripts/`` import private package names
 (``systems._normalize``, ``systems._reachability``): run each one on the
-mstar fixture in a subprocess and check its exit code and key lines."""
+mstar fixture (and ``run_suites.py`` also on a single-handle manifold) in a
+subprocess and check its exit code and key lines."""
 
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import K2L1_TEXT
 
 ROOT = Path(__file__).resolve().parent.parent
 MSTAR = str(ROOT / "fixtures" / "mstar.txt")
@@ -52,18 +55,22 @@ def test_script_runs(script, args, lines):
         assert any(row.startswith(line) for row in out), line
 
 
+SUITES = ("exactness", "normalization", "pi1", "relations", "spotted", "roundtrip")
+
+
 def test_run_suites_passes_every_suite():
     proc = _run("run_suites.py", "--manifold", MSTAR, "--quick")
     assert proc.returncode == 0, proc.stderr
     verdicts = [row.split()[:2] for row in proc.stdout.splitlines()]
-    assert verdicts == [
-        ["PASS", suite]
-        for suite in (
-            "exactness",
-            "normalization",
-            "pi1",
-            "relations",
-            "spotted",
-            "roundtrip",
-        )
-    ]
+    assert verdicts == [["PASS", suite] for suite in SUITES]
+
+
+def test_run_suites_passes_on_a_single_handle(tmp_path):
+    # the mirror half of the assignments is expected to be unreachable
+    manifold = tmp_path / "k2l1.txt"
+    manifold.write_text(K2L1_TEXT)
+    proc = _run("run_suites.py", "--manifold", str(manifold), "--quick")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split()[:2] for row in rows] == [["PASS", suite] for suite in SUITES]
+    assert "'assignments': 32, 'unreachable': 16" in rows[1]

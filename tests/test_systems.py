@@ -630,6 +630,136 @@ class TestTrace:
         assert trace.target_of(("d", 2)) == (frozenset({s_label(1)}), None)
 
 
+def _symmetric_walk(manifold, rng, steps):
+    """A word of BFS moves, plus a swapIrr letter on summands 1 and 2 when
+    they are homeomorphic, that keeps the standard system laminar."""
+    moves = list(systems._bfs_moves(manifold))
+    if manifold.k >= 2 and manifold.type_of(1) == manifold.type_of(2):
+        moves.append(w.SwapIrr(1, 2))
+    family, letters = standard_system(manifold), []
+    while moves and len(letters) < steps:
+        move = rng.choice(moves)
+        try:
+            family = act_system(manifold, w.Word(manifold, (move,)), family)
+        except NotLaminarAfterSlide:
+            continue
+        letters.append(move)
+    return w.Word.of(manifold, tuple(letters))
+
+
+def _fold_outcome(function, *args):
+    """A replay's result, or its error type and message."""
+    try:
+        return function(*args)
+    except McgseqError as exc:
+        return type(exc), str(exc)
+
+
+# k = 0, and l = 0 with two summands
+EXTRA_TEXTS = {
+    "handles 2": "handles 2\n",
+    "handles 0": "type A pi1=Z/2 mcg=Z/1\nsummand 1 A\nsummand 2 A\nhandles 0\n",
+}
+
+
+@pytest.fixture
+def named_manifold(request):
+    if request.param in EXTRA_TEXTS:
+        return build_manifold(EXTRA_TEXTS[request.param])
+    return request.getfixturevalue(request.param)
+
+
+class TestStandardFoldMemo:
+    """A word keeps its fold of the standard system (``_standard_fold``),
+    and both replay checks read it."""
+
+    # acts on pi1 as "slideEnd(1,+; x2) slideHandle(2; x1)" does, yet breaks
+    # laminarity on the standard system
+    BREAKS = "slideHandle(2; x1) slideEnd(1,-; x2^-1)"
+
+    def test_certificate_has_no_fold_until_replayed(self, mstar):
+        family = fam("block {s1}\nblock {s2}\nblock {s1,e1+}\nblock {e2-}")
+        target = trace_assignment(mstar, parse_word(mstar, "slideIrr(1; x1) spin(2)"))
+        word = normalize_system(mstar, family, target)
+        assert word.letters and not hasattr(word, "_fold")
+        assert act_system(mstar, word, standard_system(mstar)) == family
+        assert word._fold == systems._fold_state(mstar, word.letters)
+        fold = word._fold
+        assert trace_assignment(mstar, word) == target
+        assert word._fold is fold
+        again = normalize_system(mstar, family, target)
+        assert again == word and not hasattr(again, "_fold")
+
+    def test_a_fold_that_raises_stores_nothing(self, mstar):
+        word = parse_word(mstar, self.BREAKS)
+        std = standard_system(mstar)
+        with pytest.raises(NotLaminarAfterSlide) as first:
+            act_system(mstar, word, std)
+        assert not hasattr(word, "_fold")
+        for replay in (
+            lambda: act_system(mstar, word, std),
+            lambda: trace_assignment(mstar, word),
+        ):
+            with pytest.raises(NotLaminarAfterSlide) as again:
+                replay()
+            assert str(again.value) == str(first.value)
+            assert not hasattr(word, "_fold")
+
+    @pytest.mark.parametrize(
+        "named_manifold",
+        ["mstar", "k2l1", "mixed_types", "free_mcg", "handles 2"],
+        indirect=True,
+    )
+    def test_warm_memo_matches_a_fresh_fold(self, named_manifold):
+        m, rng = named_manifold, random.Random(16)
+        std = standard_system(m)
+        words = [_symmetric_walk(m, rng, rng.randint(0, 8)) for _ in range(25)]
+        words += [random_word(m, rng, max_len=6) for _ in range(25)]
+        laminar = 0
+        for word in words:
+            # fill the memo, then replay against a fresh word of the same letters
+            _fold_outcome(trace_assignment, m, word)
+            for check in (act_system, trace_assignment):
+                args = (m, word, std) if check is act_system else (m, word)
+                fresh = (m, w.Word(m, word.letters)) + args[2:]
+                assert _fold_outcome(check, *args) == _fold_outcome(check, *fresh)
+            # the shortcut equals the letter-by-letter fold on blocks
+            blocks = std.blocks
+            try:
+                for letter in word.letters:
+                    blocks = systems.act_letter_blocks(m, letter, blocks)
+            except NotLaminarAfterSlide:
+                assert not hasattr(word, "_fold")
+                continue
+            laminar += 1
+            assert act_system(m, word, std) == LaminarFamily.of(blocks)
+        assert laminar >= 25
+
+    @pytest.mark.parametrize(
+        "named_manifold",
+        ["mstar", "k2l1", "mixed_types", "s3_sign", "free_mcg", *EXTRA_TEXTS],
+        indirect=True,
+    )
+    def test_standard_family_masks_are_the_standard_slots(self, named_manifold):
+        m = named_manifold
+        masks = model.family_masks(m, standard_system(m).blocks)
+        assert masks == systems._standard_slots(m)
+        assert systems._standard_slots(m) is systems._standard_slots(m)
+
+    def test_standard_fold_is_the_only_writer(self):
+        import inspect
+
+        src = Path(systems.__file__).parent
+        calls = {
+            path.name: path.read_text(encoding="utf-8").count("_set_fold(")
+            for path in src.glob("*.py")
+        }
+        assert {name: n for name, n in calls.items() if n} == {"systems.py": 1}
+        assert "_set_fold(" in inspect.getsource(systems._standard_fold)
+        for search in (systems._normalize, systems._reachability.__wrapped__):
+            assert "_fold" not in inspect.getsource(search).replace("_fold_state", "")
+
+
 class TestNormalize:
     def test_identity_case(self, mstar):
         word = normalize_system(
@@ -957,6 +1087,49 @@ class TestNormalizationCompleteness:
                 else:
                     with pytest.raises(Unreachable):
                         normalize_system(manifold, family, assignment)
+
+
+    @pytest.mark.parametrize("name", ["k2l1", "free_mcg"])
+    def test_suite_expects_the_mirror_half_unreachable(self, request, name):
+        from mcgseq.verify import normalization_suite
+
+        report = normalization_suite(request.getfixturevalue(name))
+        assert report["ok"] and not report["failures"]
+        assert report["assignments"] and report["unreachable"] * 2 == report["assignments"]
+
+    def test_suite_fails_on_an_unreachable_matching_case(self, k2l1, monkeypatch):
+        from mcgseq.verify import _mirror_parity, normalization_suite
+
+        normalize = systems._normalize
+
+        def refuse_matching(manifold, nonsep, assignment):
+            if not _mirror_parity(manifold, assignment):
+                raise Unreachable("forced")
+            return normalize(manifold, nonsep, assignment)
+
+        monkeypatch.setattr(systems, "_normalize", refuse_matching)
+        report = normalization_suite(k2l1)
+        assert not report["ok"]
+        assert report["unreachable"] == report["assignments"]
+        assert len(report["failures"]) == min(20, report["assignments"] // 2)
+        assert all(f.endswith(": forced") for f in report["failures"])
+
+    def test_suite_fails_on_a_normalized_mirror_case(self, k2l1, monkeypatch):
+        from mcgseq.verify import _mirror_parity, normalization_suite
+
+        normalize = systems._normalize
+
+        def realize_mirror(manifold, nonsep, assignment):
+            if _mirror_parity(manifold, assignment):
+                return w.empty_word(manifold)
+            return normalize(manifold, nonsep, assignment)
+
+        monkeypatch.setattr(systems, "_normalize", realize_mirror)
+        report = normalization_suite(k2l1)
+        assert not report["ok"] and report["unreachable"] == 0
+        assert any(
+            f.startswith("mirror-parity assignment normalized") for f in report["failures"]
+        )
 
 
 class TestDot:

@@ -66,7 +66,7 @@ class TestWordValue:
         word = self._educed(mstar)
         assert repr(word) == repr(reference(mstar, word.letters))
 
-    @pytest.mark.parametrize("name", ["manifold", "letters", "_image", "other"])
+    @pytest.mark.parametrize("name", ["manifold", "letters", "_image", "_fold", "other"])
     def test_assignment_raises(self, mstar, name):
         word = self._educed(mstar)
         image = word._image
@@ -87,6 +87,54 @@ class TestWordValue:
         assert twin == word and hash(twin) == hash(word)
         assert twin._image is None
         assert sequence.is_discrepant(twin) is sequence.is_discrepant(word)
+
+
+class TestFoldMemo:
+    """The standard-system fold kept in the ``_fold`` slot is unset on a new
+    word and, like the eduction, shows in no comparison, repr or copy."""
+
+    TEXT = TestWordValue.TEXT
+
+    def _folded(self, manifold):
+        word = parse_word(manifold, self.TEXT)
+        assert not hasattr(word, "_fold")
+        fold = systems._standard_fold(manifold, word)
+        assert word._fold is fold
+        return word
+
+    def test_equality_hash_and_repr_ignore_the_fold(self, mstar):
+        folded, fresh = self._folded(mstar), parse_word(mstar, self.TEXT)
+        assert not hasattr(fresh, "_fold")
+        assert folded == fresh and hash(folded) == hash(fresh)
+        assert repr(folded) == repr(fresh)
+        assert {folded: 1}[fresh] == 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_carry_no_fold(self, mstar, clone):
+        word = self._folded(mstar)
+        twin = clone(word)
+        assert twin == word and hash(twin) == hash(word)
+        assert not hasattr(twin, "_fold")
+        assert systems._standard_fold(mstar, twin) == word._fold
+
+    def test_new_words_start_without_a_memo(self, mstar):
+        word = self._folded(mstar)
+        sequence._eduction(word)
+        built = [
+            w.compose(word, word),
+            w.compose(w.empty_word(mstar), word),
+            w.invert(word),
+            w.Word.of(mstar, word.letters),
+            w.Word(mstar, word.letters),
+            w.free_reduce(word),
+            w.normalize_word(word),
+        ]
+        for new in built:
+            assert not hasattr(new, "_fold") and new._image is None
 
 
 class TestInvert:
