@@ -8,7 +8,11 @@ Each of the ten pairs per workload runs ``perfbench/run.py --trace 0`` once
 in each checkout, as a subprocess, with one seed and the ``run_seconds`` of
 ``BENCHMARK.json``; the parent goes first in even pairs and the change in odd
 ones, so a slow spell of the host hits both sides alike.  Pair i of
-every workload uses seed ``first-seed + i``.  The output file holds, per
+every workload uses seed ``first-seed + i``.  Both sides run without a
+bytecode cache: each ``__pycache__`` under a checkout's ``src/`` and
+``perfbench/`` is removed before every run, and run.py starts with
+``PYTHONDONTWRITEBYTECODE=1``, so neither side loads ``.pyc`` files that
+the other compiles.  The output file holds, per
 run, the workload, seed, side, its place in the pair, the exit code and the
 final JSON line that run.py prints.  A summary of each end-to-end metric
 that ``BENCHMARK.json`` lists (each side's median and quartiles, pairs the
@@ -22,6 +26,8 @@ A parent checkout can be made with ``git archive``:
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,11 +38,16 @@ PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """Exit code and final JSON line of one perfbench run in a checkout."""
+    """Exit code and final JSON line of one perfbench run in a checkout,
+    started with no bytecode cache in its ``src/`` or ``perfbench/``."""
+    for top in ("src", "perfbench"):
+        for cache in list((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     lines = proc.stdout.strip().splitlines()
     try:

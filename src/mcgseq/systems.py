@@ -21,7 +21,7 @@ word carrying the standard system (with its duplicate tokens) onto a given
 symmetric family with a given allowable assignment.  A state is the tuple
 of slot masks plus one spin bit per handle.  No move reads the bits, so the
 search index (``_Index``) interns each reachable tuple of handle-slot masks
-as an integer id, computes its row of move targets once, and keys each
+as an integer id, tries each distinct move action on it once, and keys each
 state by the integer ``id << l | bits``; the summand slots never move and
 are left out.  A query decides symmetry on the family's masks, with no
 classification, and the search moves are validated once, when the index
@@ -265,7 +265,9 @@ class _Index:
     state is the key ``id << l | bits``, where bit j-1 of ``bits`` is set
     when the duplicates of handle j are spun.  ``parent`` maps each key, in
     discovery order, to ``parent key * len(moves) + move number``; the
-    start key 0 maps to -1.
+    start key 0 maps to -1.  The search rows, not kept, hold each distinct
+    discoverable target once, under the first move reaching it, with no -1
+    entries for rejected slides.
     """
 
     __slots__ = ("moves", "ids", "parent")
@@ -282,49 +284,62 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     """BFS the full (slot masks, spin bits) state space from the standard state.
 
     First the slot tuples: each reachable tuple of handle-slot masks gets
-    an id, and its row holds, per move in canonical order, the target id
-    shifted left by l with the spin bit the move flips, or -1 where a slide
-    breaks laminarity.  Then a FIFO BFS over the keys ``id << l | bits``
-    follows the rows, moves in canonical text order, so the implied word
-    for every state is the lexicographically least among the shortest.
+    an id, and each distinct move action (compiled letter, spin flip) is
+    tried on it once.  Its flat row holds each distinct target (target id
+    shifted left by l with the spin bit flipped) once, under the first move
+    number reaching it; a slide that breaks laminarity adds its number of
+    moves to the tuple's reject count instead.  Then a FIFO BFS over the keys
+    ``id << l | bits`` follows the rows, moves in canonical text order, so
+    the implied word for every state is the lexicographically least among
+    the shortest.  A later move to a target already reached from the same
+    key, or back to the key itself, never sets a parent, so the rows leave
+    them out.
     """
     full, k, ell = manifold.full_mask, manifold.k, manifold.ell
     # validated once, here, so certificates built from them need no check
     moves = w.Word.of(manifold, _bfs_moves(manifold)).letters
-    compiled = [
-        (_compile_letter(manifold, mv),
-         1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0)
-        for mv in moves
-    ]
+    # crossing parity reads only the parity of a path's x letters, so
+    # slides along x_j and x_j^-1 share an action
+    groups = {}  # action -> its move numbers
+    for n, mv in enumerate(moves):
+        action = (_compile_letter(manifold, mv),
+                  1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0)
+        groups.setdefault(action, []).append(n)
+    actions = [(letter, flip, ns[0], len(ns)) for (letter, flip), ns in groups.items()]
     start = _standard_slots(manifold)[k:]
     ids = {start: 0}
     tuples = [start]  # the keys of ids, by id
-    rows = []  # by id
+    rows = []  # by id: target, move number, target, move number, ...
+    rejects = []  # by id: moves whose slide breaks laminarity
     for slots in tuples:
-        row = []
-        for letter, flip in compiled:
+        own = len(rows) << ell  # a move back to the key itself sets no parent
+        row = {own: -1}  # target -> first move number
+        rejected = 0
+        for letter, flip, n, count in actions:
             nslots = _apply(letter, slots)
             if letter[0] and not is_laminar(nslots, full):
-                row.append(-1)
+                rejected += count
                 continue
             tid = ids.setdefault(nslots, len(tuples))
             if tid == len(tuples):
                 tuples.append(nslots)
-            row.append(tid << ell | flip)
-        rows.append(row)
+            row.setdefault(tid << ell | flip, n)
+        del row[own]
+        rows.append([x for entry in row.items() for x in entry])
+        rejects.append(rejected)
     width = len(moves)
     parent = {0: -1}
     queue = [0]
     low = (1 << ell) - 1
     for key in queue:
         bits, link = key & low, key * width
-        for n, target in enumerate(rows[key >> ell]):
-            if target >= 0:
-                nkey = target ^ bits
-                if nkey not in parent:
-                    parent[nkey] = link + n
-                    queue.append(nkey)
-    rejected = sum(rows[key >> ell].count(-1) for key in queue)
+        entries = iter(rows[key >> ell])
+        for target, n in zip(entries, entries):
+            nkey = target ^ bits
+            if nkey not in parent:
+                parent[nkey] = link + n
+                queue.append(nkey)
+    rejected = sum(rejects[key >> ell] for key in queue)
     log.info(
         "reachability index: %d states (%d slot tuples), %d edges, %d slides "
         "rejected as not laminar, from the standard system",

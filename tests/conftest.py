@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from mcgseq import build_manifold
@@ -89,3 +92,12 @@ def free_mcg():
 @pytest.fixture(scope="session")
 def spotted() -> SpottedMarking:
     return parse_spotted_marking(SPOTTED_TEXT)
+
+
+def load_script(name):
+    """``scripts/<name>.py`` as a module, without running its ``main``."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

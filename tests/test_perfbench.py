@@ -7,13 +7,14 @@ checked on a synthetic run list."""
 
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -107,15 +108,6 @@ def test_exact_sequence_round_passes():
     assert result["attempted"] == 100
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_pairs_summary():
     def run(seed, side, value, correct=True, failed=0):
         metrics = {"op_p50_ms": {"value": value, "unit": "ms"}}
@@ -128,7 +120,7 @@ def test_bench_pairs_summary():
         run(3, "parent", 4.0, correct=False), run(3, "change", 5.0),
         run(4, "change", 2.0), run(4, "parent", 5.0),
     ]
-    lines = _bench_pairs().summary(
+    lines = load_script("bench_pairs").summary(
         runs, [{"name": "op_p50_ms", "better": "lower"}, {"name": "absent"}]
     )
     assert lines == [

@@ -1,7 +1,8 @@
 """The helper scripts in ``scripts/`` import private package names
 (``systems._normalize``, ``systems._reachability``): run each one on the
 mstar fixture (and ``run_suites.py`` also on a single-handle manifold) in a
-subprocess and check its exit code and key lines."""
+subprocess and check its exit code and key lines.  ``bench_pairs.py`` is
+loaded as a module, with its subprocess call replaced."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import K2L1_TEXT
+from conftest import K2L1_TEXT, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 MSTAR = str(ROOT / "fixtures" / "mstar.txt")
@@ -74,3 +75,23 @@ def test_run_suites_passes_on_a_single_handle(tmp_path):
     rows = proc.stdout.splitlines()
     assert [row.split()[:2] for row in rows] == [["PASS", suite] for suite in SUITES]
     assert "'assignments': 32, 'unreachable': 16" in rows[1]
+
+
+def test_bench_pairs_runs_without_bytecode_cache(tmp_path, monkeypatch):
+    # a checkout that holds a __pycache__ loads .pyc files that a fresh one
+    # compiles, so every run starts with none and writes none
+    bench_pairs = load_script("bench_pairs")
+    caches = [tmp_path / "src" / "mcgseq" / "__pycache__", tmp_path / "perfbench" / "__pycache__"]
+    for cache in caches:
+        cache.mkdir(parents=True)
+        (cache / "module.cpython-311.pyc").write_bytes(b"")
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        calls.append((cwd, env.get("PYTHONDONTWRITEBYTECODE"), [c.exists() for c in caches]))
+        return subprocess.CompletedProcess(argv, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(tmp_path, "normalize-census", 1, 1.0) == (0, {"correct": True})
+    assert calls == [(tmp_path, "1", [False, False])]
+    assert (tmp_path / "src" / "mcgseq").is_dir()

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import logging
@@ -34,7 +35,7 @@ from mcgseq.model import (
     validate_laminar,
 )
 from mcgseq.systems import act_system, normalize_system, trace_assignment
-from mcgseq.textio import parse_family, parse_word, word_text
+from mcgseq.textio import parse_family, parse_word, word_letter_text, word_text
 from mcgseq.verify import (
     allowable_assignments,
     discrepant_alphabet,
@@ -432,6 +433,31 @@ class TestBitsetCore:
             "reachability index: 2592 states (648 slot tuples), 38112 edges, "
             "21504 slides rejected as not laminar, from the standard system"
         ) in caplog.text
+
+    def test_logs_counts_with_repeated_actions(self, caplog):
+        # (3,2) has many slideIrr moves per action: the edge and reject
+        # counts still count every move
+        with caplog.at_level(logging.INFO, logger="mcgseq.systems"):
+            systems._reachability.__wrapped__(_ladder(3, 2))
+        assert (
+            "reachability index: 7776 states (1944 slot tuples), 128928 edges, "
+            "81024 slides rejected as not laminar, from the standard system"
+        ) in caplog.text
+
+    @pytest.mark.parametrize(
+        "k, ell, digest",
+        [(0, 3, "9820a0c9da97963f"), (2, 2, "753eee7150004b60"), (3, 2, "e9bb50dd47c4cff0")],
+    )
+    def test_index_digest(self, k, ell, digest):
+        # moves, slot tuple ids and parent links, byte for byte
+        manifold = _ladder(k, ell)
+        index = systems._reachability(manifold)
+        text = repr((
+            [word_letter_text(manifold, mv) for mv in index.moves],
+            list(index.ids),
+            list(index.parent.items()),
+        ))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_letter_fold_matches_walk_parity(self, mstar):
         rng = random.Random(67)
