@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Census of symmetric sphere systems and normalization reachability.
 
-Enumerates every laminar family with k+l blocks over the manifold's label
-universe, decides on its masks whether it is symmetric, and reports how
-many are, how many allowable assignments they carry (read off each
-family's non-separating blocks), the BFS state-space size, and the
-distribution of certificate lengths.  With ``--lengths`` an assignment that
-the BFS cannot reach (with one handle the mirror half is unreachable) is
-counted and reported after the histogram instead of ending the run.
+Counts the laminar families with k+l blocks over the manifold's label
+universe, finds the symmetric ones by a search under the singleton blocks
+{s(i)}, and reports how many there are, how many allowable assignments
+they carry (read off each family's non-separating blocks), the BFS
+state-space size, and the distribution of certificate lengths.  Each
+assignment is generated once: it is counted and, with ``--lengths``,
+normalized.  An assignment that the BFS cannot reach (with one handle the
+mirror half is unreachable) is counted and reported after the histogram
+instead of ending the run.
 """
 
 import argparse
@@ -51,27 +53,29 @@ def main(argv=None) -> int:
     print(f"BFS states reachable from the standard system: {len(index)} "
           f"({time.time() - t0:.1f}s)")
 
+    # one pass over the assignments: counted, and normalized with --lengths
+    t0 = time.time()
     per_family = collections.Counter()
-    total = 0
+    lengths = collections.Counter()
+    total = unreachable = 0
     for _fam, nonsep in symmetric:
-        n = sum(1 for _ in allowable_assignments(manifold, nonsep))
+        n = 0
+        for assignment in allowable_assignments(manifold, nonsep):
+            n += 1
+            if not args.lengths:
+                continue
+            try:
+                word = _normalize(manifold, nonsep, assignment)
+            except Unreachable:
+                unreachable += 1
+                continue
+            lengths[len(word)] += 1
         per_family[n] += 1
         total += n
     print(f"allowable assignments: {total} total "
           f"({dict(per_family)} per family)")
 
     if args.lengths:
-        t0 = time.time()
-        lengths = collections.Counter()
-        unreachable = 0
-        for _fam, nonsep in symmetric:
-            for assignment in allowable_assignments(manifold, nonsep):
-                try:
-                    word = _normalize(manifold, nonsep, assignment)
-                except Unreachable:
-                    unreachable += 1
-                    continue
-                lengths[len(word)] += 1
         print(f"certificate lengths ({time.time() - t0:.1f}s):")
         for length in sorted(lengths):
             print(f"  {length:2d}: {lengths[length]}")

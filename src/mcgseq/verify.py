@@ -20,6 +20,7 @@ from .model import (
     LaminarFamily,
     PrimeDecomposition,
     _is_symmetric,
+    _separates,
     e_label,
     s_label,
     standard_system,
@@ -173,14 +174,22 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
     laminar (k+l)-sets of blocks.  Blocks are the 2^|L|-2 proper nonempty
     subsets of L as masks, in ``block_key`` order (``combinations`` of the
     labels by size).  Each block i carries the bitset of the later blocks
-    nested with it or disjoint from it; a depth-first search extends
-    index-increasing tuples by the blocks compatible with every block so
-    far (the AND of their bitsets), so it yields exactly the laminar
-    (k+l)-sets, once each, in the order of ``combinations`` of the blocks.
-    Each is tested on its masks and only the symmetric ones are built,
-    already in ``block_key`` order; none is classified.  The search never
-    consults the BFS of ``systems``, which the normalization suite audits
-    against it.
+    nested with it or disjoint from it, so a depth-first search that extends
+    index-increasing tuples by the blocks compatible with every block so far
+    (the AND of their bitsets) reaches exactly the laminar sets, once each,
+    in the order of ``combinations`` of the blocks.  The laminar (k+l)-sets
+    are counted by that search, which adds the popcount of the candidates
+    at the last level instead of visiting each leaf.
+
+    The symmetric families are searched for under the singletons alone.
+    Blocks 0..k-1 are the singletons {s(i)}, and a symmetric family's
+    separating blocks are exactly those, so in index order it starts with
+    them and goes on with l non-separating blocks compatible with them and
+    with each other.  The search starts from the singletons with those
+    blocks as candidates, and tests each (k+l)-set it reaches with the full
+    ``_is_symmetric``.  The symmetric families are built already in
+    ``block_key`` order; none is classified.  The search never consults the
+    BFS of ``systems``, which the normalization suite audits against it.
 
     Returns (tuple of (family, nonsep_blocks) pairs, number of laminar
     candidates); ``nonsep_blocks`` are the family's blocks with a bit at or
@@ -201,17 +210,27 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
         compatible.append(later)
     k = manifold.k
     size = k + manifold.ell
-    laminar_count = 0
+
+    def count(depth: int, candidates: int) -> int:
+        if depth == size - 1:
+            return candidates.bit_count()
+        total = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            total += count(depth + 1, candidates & compatible[low.bit_length() - 1])
+        return total
+
+    tested = 0
     out = []
 
     def extend(chosen: tuple, candidates: int) -> None:
-        nonlocal laminar_count
+        nonlocal tested
         if len(chosen) == size:
-            laminar_count += 1
+            tested += 1
             if _is_symmetric(manifold, chosen):
                 fam = tuple(map(manifold.block_of, chosen))  # memoized frozensets
-                nonsep = tuple(b for b, m in zip(fam, chosen) if m >> k)
-                out.append((LaminarFamily(fam), nonsep))
+                out.append((LaminarFamily(fam), fam[k:]))
             return
         while candidates:
             low = candidates & -candidates
@@ -219,13 +238,20 @@ def enumerate_symmetric(manifold: PrimeDecomposition):
             i = low.bit_length() - 1
             extend(chosen + (blocks[i],), candidates & compatible[i])
 
-    extend((), (1 << len(blocks)) - 1)
+    laminar_count = count(0, (1 << len(blocks)) - 1)
+    under_singletons = sum(
+        1 << i for i, m in enumerate(blocks) if not _separates(manifold, m)
+    )
+    for i in range(k):
+        under_singletons &= compatible[i]
+    extend(tuple(blocks[:k]), under_singletons)
     log.info(
         "symmetric enumeration: %d laminar candidates with %d blocks, "
-        "%d symmetric families",
+        "%d symmetric families; %d block sets tested under the singletons",
         laminar_count,
         size,
         len(out),
+        tested,
     )
     return tuple(out), laminar_count
 
@@ -236,16 +262,34 @@ def allowable_assignments(manifold: PrimeDecomposition, nonsep_blocks):
     ``type_permutations`` summand permutation, per order of the blocks,
     per choice of sides.  The mapping is built here, not by
     ``model._assignment``, so that this enumerator stays independent of the
-    assignment codec that the normalization suite checks against it."""
+    assignment codec that the normalization suite checks against it.
+
+    Each assignment is joined from runs of entries that many assignments
+    share, already in token order, so none builds a dict or sorts: sorted,
+    the tokens go index by index as d(n), d(n,-), d(n,+).  Per summand
+    permutation, handle j, block and side there is one run, d(j) included
+    when j <= k, and the d(i) with i > l follow the last handle's run."""
+    k, ell = manifold.k, manifold.ell
+    singles = [(frozenset({s_label(p)}), None) for p in range(1, k + 1)]
+    targets = [((b, "in"), (b, "out")) for b in nonsep_blocks]
     for perm in type_permutations(manifold.type_classes()):
-        summands = {("d", i): (frozenset({s_label(p)}), None) for i, p in perm.items()}
-        for block_order in itertools.permutations(nonsep_blocks):
-            for sides in itertools.product(("in", "out"), repeat=manifold.ell):
-                mapping = dict(summands)
-                for j, (block, side) in enumerate(zip(block_order, sides), 1):
-                    mapping[("d", j, 1)] = (block, side)
-                    mapping[("d", j, -1)] = (block, "out" if side == "in" else "in")
-                yield Assignment.of(mapping)
+        summands = tuple((("d", i), singles[perm[i] - 1]) for i in range(1, k + 1))
+        # per handle j and block: the runs d(j), d(j,-), d(j,+) of both sides
+        runs = [
+            [
+                [
+                    summands[j - 1 : j] + ((("d", j, -1), minus), (("d", j, 1), plus))
+                    for plus, minus in (sides, sides[::-1])
+                ]
+                for sides in targets
+            ]
+            for j in range(1, ell + 1)
+        ]
+        rest = (summands[ell:],)
+        for block_order in itertools.permutations(range(ell)):
+            choices = [runs[j][b] for j, b in enumerate(block_order)]
+            for picked in itertools.product(*choices, rest):
+                yield Assignment(sum(picked, ()))
 
 
 # ---------------------------------------------------------------------------

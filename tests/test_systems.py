@@ -34,8 +34,16 @@ from mcgseq.model import (
     standard_system,
     validate_laminar,
 )
+from mcgseq.oracles import type_permutations
 from mcgseq.systems import act_system, normalize_system, trace_assignment
-from mcgseq.textio import parse_family, parse_word, word_letter_text, word_text
+from mcgseq.textio import (
+    assignment_text,
+    family_text,
+    parse_family,
+    parse_word,
+    word_letter_text,
+    word_text,
+)
 from mcgseq.verify import (
     allowable_assignments,
     discrepant_alphabet,
@@ -511,6 +519,43 @@ def _reference_enumerate_symmetric(manifold):
     return tuple(out), laminar_count
 
 
+def _reference_allowable_assignments(manifold, nonsep_blocks):
+    """Each allowable assignment as a dict sorted by ``Assignment.of``: the
+    enumerator's body before it joined shared parts, kept as its reference."""
+    for perm in type_permutations(manifold.type_classes()):
+        summands = {("d", i): (frozenset({s_label(p)}), None) for i, p in perm.items()}
+        for block_order in itertools.permutations(nonsep_blocks):
+            for sides in itertools.product(("in", "out"), repeat=manifold.ell):
+                mapping = dict(summands)
+                for j, (block, side) in enumerate(zip(block_order, sides), 1):
+                    mapping[("d", j, 1)] = (block, side)
+                    mapping[("d", j, -1)] = (block, "out" if side == "in" else "in")
+                yield Assignment.of(mapping)
+
+
+# the census manifolds given by text: k = 0, and k = 1, at three handles
+CENSUS_TEXTS = {
+    "handles 3": "handles 3\n",
+    "one summand, handles 3": "type A pi1=Z/2 mcg=Z/1\nsummand 1 A\nhandles 3\n",
+}
+
+
+def _census_digest(manifold, every=1):
+    """SHA-256 (16 hex digits) of the laminar count and, per symmetric
+    family in order, its text, its non-separating blocks and the text of each
+    of its allowable assignments, in order; with ``every`` > 1 the
+    assignments of only every ``every``-th family are hashed."""
+    families, count = enumerate_symmetric(manifold)
+    digest = hashlib.sha256(f"{count}\n".encode())
+    for n, (family, nonsep) in enumerate(families):
+        digest.update(family_text(family).encode())
+        digest.update((" ".join(map(model.block_text, nonsep)) + "\n").encode())
+        if n % every == 0:
+            for assignment in allowable_assignments(manifold, nonsep):
+                digest.update(assignment_text(assignment).encode())
+    return digest.hexdigest()[:16]
+
+
 ROOT_DIR = Path(__file__).resolve().parent.parent
 
 
@@ -533,6 +578,39 @@ class TestEnumerateSymmetric:
         assert (count, len(families)) == (laminar, symmetric)
         assert (families, count) == _reference_enumerate_symmetric(manifold)
 
+    @pytest.mark.parametrize(
+        "name, every, digest",
+        [
+            ("mstar", 1, "a5227266e0cf25ba"),
+            ("k2l1", 1, "e76a00f9f26bc5f0"),
+            ("mixed_types", 1, "7f6e3659ef8e60b2"),
+            ("free_mcg", 1, "492e981c982a91f8"),
+            ("handles 3", 1, "fe1c806c2d68e916"),
+            # 393,216 assignment texts take seconds: one family in 16
+            ("one summand, handles 3", 16, "c07fab21543433b7"),
+        ],
+    )
+    def test_census_digest(self, request, name, every, digest):
+        # families, non-separating blocks, assignments and the laminar count,
+        # byte for byte and in order, as the search that visited every
+        # laminar set gave them
+        if name in CENSUS_TEXTS:
+            manifold = build_manifold(CENSUS_TEXTS[name])
+        else:
+            manifold = request.getfixturevalue(name)
+        assert _census_digest(manifold, every) == digest
+
+    @pytest.mark.parametrize(
+        "named_manifold",
+        ["mstar", "k2l1", "mixed_types", "free_mcg", "handles 0"],
+        indirect=True,
+    )
+    def test_assignments_match_reference(self, named_manifold):
+        m = named_manifold
+        for _family, nonsep in enumerate_symmetric(m)[0]:
+            got = list(allowable_assignments(m, nonsep))
+            assert got == list(_reference_allowable_assignments(m, nonsep))
+
     def test_mask_decision_ignores_block_order(self, mstar):
         """trace_assignment decides on its slot masks, unsorted and possibly
         parallel; the decision must be classify_system's."""
@@ -551,6 +629,16 @@ class TestEnumerateSymmetric:
         assert "124 laminar candidates with 3 blocks, 8 symmetric families" in (
             caplog.text
         )
+
+    def test_logs_sets_tested(self, mstar, caplog):
+        # only the laminar pairs of non-separating blocks under the
+        # singletons reach the symmetry test, not all 16,990 laminar sets
+        with caplog.at_level(logging.INFO, logger="mcgseq.verify"):
+            enumerate_symmetric.__wrapped__(mstar)
+        assert (
+            "16990 laminar candidates with 4 blocks, 324 symmetric families; "
+            "492 block sets tested under the singletons"
+        ) in caplog.text
 
     def test_census_script(self):
         mstar_file = str(ROOT_DIR / "fixtures" / "mstar.txt")
