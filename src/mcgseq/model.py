@@ -11,6 +11,7 @@ what each sphere encloses: a laminar multiset of subsets of L.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -47,6 +48,8 @@ def block_key(block: frozenset):
     return (len(block), sorted(label_key(l) for l in block))
 
 
+# bounded: a census renders the same few blocks in every assignment
+@functools.lru_cache(maxsize=1024)
 def block_text(block: frozenset) -> str:
     inner = ",".join(label_text(l) for l in sorted(block, key=label_key))
     return "{" + inner + "}"
@@ -153,11 +156,14 @@ class PrimeDecomposition:
     """W as an ordered list of irreducible summand types plus a handle count.
 
     A label is a bit in ``labels()`` order and a block is an ``int`` mask
-    over those bits.  The label order, the masks of L and of each handle's
-    two ends, the duplicate tokens and the hash are derived once, here: the
-    dataclass hash would rehash every nested summand type on each call.
+    over those bits.  The label order, the masks of L, of each handle's two
+    ends and of the e(j,+) ends, the standard system's blocks, the summand
+    targets (for each summand i, the singletons {s(p)} of its type, each
+    with its p), the duplicate tokens and the hash are derived once, here:
+    the dataclass hash would rehash every nested summand type on each call.
     ``block_of`` memoizes its frozensets in a dict keyed by the mask's part
-    inside L, so it holds at most one entry per subset of L.
+    inside L, so it holds at most one entry per subset of L; it starts with
+    the standard blocks, so it returns those same objects.
     """
 
     summands: tuple[HomeoType, ...]
@@ -166,6 +172,9 @@ class PrimeDecomposition:
     label_bits: dict = field(init=False, repr=False, compare=False, default=None)
     full_mask: int = field(init=False, repr=False, compare=False, default=0)
     handle_masks: tuple = field(init=False, repr=False, compare=False, default=())
+    plus_ends: int = field(init=False, repr=False, compare=False, default=0)
+    standard_blocks: tuple = field(init=False, repr=False, compare=False, default=())
+    summand_targets: tuple = field(init=False, repr=False, compare=False, default=())
     duplicate_tokens: frozenset = field(init=False, repr=False, compare=False, default=None)
     _blocks: dict = field(init=False, repr=False, compare=False, default=None)
     _hash: int = field(init=False, repr=False, compare=False, default=0)
@@ -183,17 +192,27 @@ class PrimeDecomposition:
         labels = [s_label(i) for i in range(1, k + 1)]
         for j in range(1, self.handles + 1):
             labels += [e_label(j, 1), e_label(j, -1)]
+        # {s(1)}, ..., {s(k)}, {e(1,+)}, ..., {e(l,+)}: block_key order
+        slots = [1 << n for n in range(k)]
+        slots += [1 << (k + 2 * j) for j in range(self.handles)]
+        standard = {m: frozenset({labels[m.bit_length() - 1]}) for m in slots}
+        by_type = {}  # one dict per summand type, shared by its summands
+        for n, t in enumerate(self.summands):
+            by_type.setdefault(t, {})[standard[1 << n]] = n + 1
         derived = {
             "_labels": tuple(labels),
             "label_bits": {lab: 1 << n for n, lab in enumerate(labels)},
             "full_mask": (1 << len(labels)) - 1,
             "handle_masks": tuple(3 << (k + 2 * j) for j in range(self.handles)),
+            "plus_ends": sum(slots[k:]),
+            "standard_blocks": tuple(standard.values()),
+            "summand_targets": tuple(map(by_type.__getitem__, self.summands)),
             # the duplicate tokens an assignment maps (see Assignment)
             "duplicate_tokens": frozenset(
                 [("d", i) for i in range(1, k + 1)]
                 + [("d", j, s) for j in range(1, self.handles + 1) for s in (1, -1)]
             ),
-            "_blocks": {},
+            "_blocks": standard,
             "_hash": hash((self.summands, self.handles)),
         }
         for name, value in derived.items():
@@ -258,12 +277,22 @@ class PrimeDecomposition:
 # laminar families
 #
 # Internally a family is a tuple of masks.  Sorting masks by mask_key is
-# sorting their blocks by block_key, because bits follow label_key order.
+# sorting their blocks by block_key, because bits follow label_key order:
+# mask_key is the key that sorts the blocks of act_system's families and
+# classify_system's non-separating blocks.
 
 
 def mask_key(mask: int):
-    """Size, then set-bit indices: block_key of the mask's block."""
-    return (mask.bit_count(), [n for n in range(mask.bit_length()) if mask >> n & 1])
+    """A key that orders masks as block_key orders their blocks: by size,
+    then by the list of set-bit indices.
+
+    Of two masks of one size, the one whose index list is smaller is the
+    one holding the lowest bit where they differ.  So the second part is
+    the binary digits read from bit 0 up, with 0 written as 2: its first
+    difference decides, and with equal sizes neither string is a prefix of
+    the other.  It costs O(|L|) and needs no table.
+    """
+    return mask.bit_count(), bin(mask)[:1:-1].replace("0", "2")
 
 
 def is_laminar(masks, full: int) -> bool:
@@ -429,9 +458,10 @@ def _separates(manifold: PrimeDecomposition, mask: int) -> bool:
     """True iff cutting W on the block's sphere disconnects W.
 
     A sphere separates iff no handle runs from inside to outside, i.e. the
-    block contains both or neither end of every handle.
+    block contains both or neither end of every handle: shifted down one
+    bit, each e(j,-) lands on its e(j,+).
     """
-    return all(mask & pair in (0, pair) for pair in manifold.handle_masks)
+    return not (mask ^ mask >> 1) & manifold.plus_ends
 
 
 @dataclass(frozen=True)
@@ -453,16 +483,28 @@ def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool
     """Cutting on every block and regluing e(j,+)~e(j,-) leaves the
     non-summand chambers connected, each handle joining two of them.
 
-    A union-find over the chamber ids, ``ROOT`` and the indices of the
-    non-summand blocks, that counts the pieces left.  No handle end lies
-    in a summand block, since those are the singletons {s(i)}.
+    No handle end lies in a summand block, since those are the singletons
+    {s(i)}, so only the other blocks are searched.  A handle end's chamber
+    is its innermost block, the latest among equals, found with a plain
+    loop: the blocks of a laminar family that hold a label are nested, so
+    the smallest is the least mask.  A union-find over the chambers, the
+    root chamber last, counts the pieces left.
     """
-    root = {i: i for i, m in enumerate(masks) if m not in summand_masks}
-    root[ROOT] = ROOT
-    pieces = len(root)
+    blocks = [m for m in masks if m not in summand_masks]
+    root_chamber = len(blocks)
+    root = list(range(root_chamber + 1))
+    pieces = root_chamber + 1
+    outside = manifold.full_mask + 1  # above every block: the root chamber
     for pair in manifold.handle_masks:
         plus = pair & -pair  # e(j,+); e(j,-) is the next bit
-        a, b = _innermost(masks, plus), _innermost(masks, pair ^ plus)
+        minus = pair ^ plus
+        a = b = root_chamber
+        least_a = least_b = outside
+        for i, m in enumerate(blocks):
+            if m & plus and m <= least_a:
+                a, least_a = i, m
+            if m & minus and m <= least_b:
+                b, least_b = i, m
         if a == b:
             return False
         while root[a] != a:
@@ -484,18 +526,31 @@ def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
     one-holed summands); the other l blocks are non-separating; and cutting
     on all blocks then regluing e(j,+)~e(j,-) leaves a single connected
     holed-sphere piece.
+
+    One loop over the masks checks all but the last: a mask within the
+    summand labels separates, so it must be a singleton {s(i)} not seen
+    before, and any other mask must not separate.  With k+l masks and all k
+    singletons seen, the other l are the non-separating blocks, and
+    ``_handles_connect`` decides the rest.  A parallel copy of one of them
+    leaves an empty chamber, the earlier copy's, which no handle reaches.
     """
-    k, ell = manifold.k, manifold.ell
-    distinct = set(masks)
-    if not len(distinct) == len(masks) == k + ell:
+    k = manifold.k
+    if len(masks) != k + manifold.ell:
         return False
-    singles = {1 << n for n in range(k)}  # {s(1)}, ..., {s(k)}
-    # the singletons separate; no other block may
-    if not singles <= distinct or any(
-        _separates(manifold, m) for m in distinct - singles
-    ):
-        return False
-    return not ell or _handles_connect(manifold, masks, singles)
+    summands, plus = (1 << k) - 1, manifold.plus_ends
+    seen = 0
+    blocks = []
+    for m in masks:
+        if m <= summands:  # separating: a new singleton, or not symmetric
+            if not m or m & (m - 1) or m & seen:
+                return False
+            seen |= m
+        elif (m ^ m >> 1) & plus:  # non-separating (see _separates)
+            blocks.append(m)
+        else:
+            return False
+    # the singletons are left out of blocks already
+    return seen == summands and (not blocks or _handles_connect(manifold, blocks, ()))
 
 
 def _symmetric_nonsep_blocks(manifold: PrimeDecomposition, blocks):
@@ -528,18 +583,14 @@ def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> Syst
     return SystemClass(
         per_block=infos,
         is_symmetric=True,
-        summand_blocks=tuple(
-            (i, frozenset({s_label(i)})) for i in range(1, manifold.k + 1)
-        ),
+        summand_blocks=tuple(enumerate(manifold.standard_blocks[: manifold.k], 1)),
         nonsep_blocks=tuple(map(manifold.block_of, nonsep)),
     )
 
 
 def standard_system(manifold: PrimeDecomposition) -> LaminarFamily:
     """The canonical symmetric system: singletons {s(i)} and {e(j,+)}."""
-    blocks = [frozenset({s_label(i)}) for i in range(1, manifold.k + 1)]
-    blocks += [frozenset({e_label(j, 1)}) for j in range(1, manifold.ell + 1)]
-    return LaminarFamily.of(blocks)
+    return LaminarFamily(manifold.standard_blocks)
 
 
 def associated_separating(manifold: PrimeDecomposition, j: int) -> frozenset:
@@ -581,20 +632,27 @@ class Assignment:
 def _assignment(summand_blocks, handle_blocks, spun) -> Assignment:
     """The assignment sending d(i) to ``summand_blocks[i-1]`` and d(j,+),
     d(j,-) to the 'in' and 'out' sides of ``handle_blocks[j-1]``, the sides
-    exchanged where ``spun[j-1]`` is true: the encoder of ``_assignment_state``."""
-    mapping = {("d", i): (block, None) for i, block in enumerate(summand_blocks, 1)}
-    for j, (block, flip) in enumerate(zip(handle_blocks, spun), 1):
-        mapping[("d", j, 1)] = (block, "out" if flip else "in")
-        mapping[("d", j, -1)] = (block, "in" if flip else "out")
-    return Assignment.of(mapping)
+    exchanged where ``spun[j-1]`` is true: the encoder of ``_assignment_state``.
+
+    The entries are emitted in ``Assignment.of``'s sorted token order,
+    index by index: d(n), d(n,-), d(n,+).  No dict is built and nothing is
+    sorted.
+    """
+    k, ell = len(summand_blocks), len(handle_blocks)
+    entries = []
+    for n in range(1, max(k, ell) + 1):
+        if n <= k:
+            entries.append((("d", n), (summand_blocks[n - 1], None)))
+        if n <= ell:
+            block, flip = handle_blocks[n - 1], spun[n - 1]
+            entries.append((("d", n, -1), (block, "in" if flip else "out")))
+            entries.append((("d", n, 1), (block, "out" if flip else "in")))
+    return Assignment(tuple(entries))
 
 
 def identity_assignment(manifold: PrimeDecomposition) -> Assignment:
-    return _assignment(
-        [frozenset({s_label(i)}) for i in range(1, manifold.k + 1)],
-        [frozenset({e_label(j, 1)}) for j in range(1, manifold.ell + 1)],
-        [False] * manifold.ell,
-    )
+    std, k = manifold.standard_blocks, manifold.k
+    return _assignment(std[:k], std[k:], [False] * manifold.ell)
 
 
 def allowable(
@@ -625,12 +683,12 @@ def _assignment_state(manifold: PrimeDecomposition, nonsep_blocks, assignment):
     mapping = assignment.as_dict()
     if mapping.keys() != manifold.duplicate_tokens:
         return None
-    summand_of_block = {manifold.block_of(1 << n): n + 1 for n in range(manifold.k)}
+    targets = manifold.summand_targets
     perm = {}
     for i in range(1, manifold.k + 1):
         block, side = mapping[("d", i)]
-        p = summand_of_block.get(block)
-        if side is not None or p is None or manifold.type_of(p) != manifold.type_of(i):
+        p = targets[i - 1].get(block)
+        if side is not None or p is None:
             return None
         perm[i] = p
     mask_of_block = {b: manifold.mask_of(b) for b in nonsep_blocks}

@@ -150,15 +150,16 @@ def act_system(
 ) -> LaminarFamily:
     """Fold the word's letters left-to-right over the family.
 
-    On the standard system, whose masks are ``_standard_slots`` (block_key
-    orders singletons by bit), this is the word's ``_standard_fold``.
+    On the standard system, whose blocks are the manifold's
+    ``standard_blocks`` and whose masks are ``_standard_slots``, this is the
+    word's ``_standard_fold``, with no ``family_masks``.
     """
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
-    masks = family_masks(manifold, family.blocks)
-    if masks == _standard_slots(manifold):
+    if family.blocks == manifold.standard_blocks:
         masks = _standard_fold(manifold, word)[0]
     else:
+        masks = family_masks(manifold, family.blocks)
         for letter in word.letters:
             masks = _act_masks(manifold, letter, masks)
     # mask_key sorts masks as block_key sorts their blocks: no re-sort
@@ -182,10 +183,7 @@ def act_system(
 
 @functools.lru_cache(maxsize=None)
 def _standard_slots(manifold: PrimeDecomposition) -> tuple[int, ...]:
-    bits = manifold.label_bits
-    slots = [bits[s_label(i)] for i in range(1, manifold.k + 1)]
-    slots += [bits[e_label(j, 1)] for j in range(1, manifold.ell + 1)]
-    return tuple(slots)
+    return tuple(map(manifold.mask_of, manifold.standard_blocks))
 
 
 def _fold_state(manifold: PrimeDecomposition, letters):

@@ -530,3 +530,57 @@ class TestForest:
             ]
             if p != ROOT and fam.blocks[p] != fam.blocks[i]:
                 assert len(fam.blocks[p]) == min(strict_supers)
+
+
+def _reference_mask_key(mask):
+    """Size, then the list of set-bit indices: the list key ``mask_key``
+    had before it was computed from the int."""
+    return (mask.bit_count(), [n for n in range(mask.bit_length()) if mask >> n & 1])
+
+
+class TestMaskKey:
+    def test_orders_every_small_mask_as_the_list_key(self):
+        masks = list(range(1 << 10))
+        assert sorted(masks, key=model.mask_key) == sorted(masks, key=_reference_mask_key)
+
+    @pytest.mark.parametrize("bits", [40, 200])
+    def test_orders_random_wide_masks_as_the_list_key(self, bits):
+        import random
+
+        rng = random.Random(bits)
+        masks = [rng.getrandbits(bits) for _ in range(400)]
+        # equal sizes that first differ high up, and sparse masks
+        for base in masks[:100]:
+            top = base.bit_length() - 1
+            for n in range(top - 1, -1, -1):
+                if (base >> n & 1) != (base >> top & 1):
+                    masks.append(base ^ (1 << n | 1 << top))
+                    break
+        masks += [sum(1 << rng.randrange(bits) for _ in range(3)) for _ in range(300)]
+        masks += masks[:50]  # parallel copies
+        rng.shuffle(masks)
+        assert sorted(masks, key=model.mask_key) == sorted(masks, key=_reference_mask_key)
+        for a, b in zip(masks, masks[1:]):
+            new = model.mask_key(a) < model.mask_key(b)
+            assert new == (_reference_mask_key(a) < _reference_mask_key(b)), (a, b)
+
+
+class TestStandardBlocks:
+    @pytest.mark.parametrize("k, ell", [(2, 2), (0, 3), (3, 0), (1, 1)])
+    def test_standard_system_blocks(self, k, ell):
+        m = generic_manifold(k, ell)
+        blocks = [frozenset({s_label(i)}) for i in range(1, k + 1)]
+        blocks += [frozenset({e_label(j, 1)}) for j in range(1, ell + 1)]
+        assert standard_system(m) == LaminarFamily.of(blocks)
+        assert standard_system(m).blocks is m.standard_blocks
+        # block_of hands out the same objects
+        assert all(m.block_of(m.mask_of(b)) is b for b in m.standard_blocks)
+
+    def test_summand_targets_follow_the_types(self, mixed_types):
+        m = mixed_types
+        for i, targets in enumerate(m.summand_targets, 1):
+            assert targets == {
+                frozenset({s_label(p)}): p
+                for p in range(1, m.k + 1)
+                if m.type_of(p) == m.type_of(i)
+            }

@@ -778,9 +778,14 @@ EXTRA_TEXTS = {
 
 @pytest.fixture
 def named_manifold(request):
-    if request.param in EXTRA_TEXTS:
-        return build_manifold(EXTRA_TEXTS[request.param])
+    texts = {**EXTRA_TEXTS, **CENSUS_TEXTS}
+    if request.param in texts:
+        return build_manifold(texts[request.param])
     return request.getfixturevalue(request.param)
+
+
+# every conftest manifold, k = 0 and l = 0
+STANDARD_SHORTCUT_CASES = ["mstar", "k2l1", "mixed_types", "s3_sign", "free_mcg", *EXTRA_TEXTS]
 
 
 class TestStandardFoldMemo:
@@ -859,6 +864,40 @@ class TestStandardFoldMemo:
         masks = model.family_masks(m, standard_system(m).blocks)
         assert masks == systems._standard_slots(m)
         assert systems._standard_slots(m) is systems._standard_slots(m)
+
+    @pytest.mark.parametrize("named_manifold", STANDARD_SHORTCUT_CASES, indirect=True)
+    def test_standard_shortcut_matches_the_letter_fold(self, named_manifold, monkeypatch):
+        """``act_system`` on the standard family reads the word's fold and
+        never calls ``family_masks``; its result, or its error, is the
+        letter-by-letter ``act_letter_blocks`` fold's."""
+        m, rng = named_manifold, random.Random(19)
+        std = standard_system(m)
+        words = [_symmetric_walk(m, rng, rng.randint(0, 8)) for _ in range(40)]
+        words += [random_word(m, rng, max_len=6) for _ in range(40)]
+        expected = []
+        for word in words:
+            blocks = std.blocks
+            try:
+                for letter in word.letters:
+                    blocks = systems.act_letter_blocks(m, letter, blocks)
+                expected.append(LaminarFamily.of(blocks))
+            except NotLaminarAfterSlide as exc:
+                expected.append((NotLaminarAfterSlide, str(exc)))
+
+        def refuse(*args):
+            raise AssertionError("act_system took the other path")
+
+        monkeypatch.setattr(systems, "family_masks", refuse)
+        got = [_fold_outcome(act_system, m, w.Word(m, word.letters), std) for word in words]
+        assert got == expected
+        assert sum(isinstance(e, LaminarFamily) for e in expected) >= 40
+        # the same blocks in another order are not the standard family
+        if m.k and m.ell:
+            monkeypatch.undo()
+            shuffled = LaminarFamily(std.blocks[::-1])
+            with monkeypatch.context() as patch:
+                patch.setattr(systems, "_standard_fold", refuse)
+                assert act_system(m, w.empty_word(m), shuffled) == std
 
     def test_standard_fold_is_the_only_writer(self):
         import inspect
@@ -1148,6 +1187,51 @@ class TestAssignmentCodec:
                     got = _outcome(normalize_system, manifold, family, mutant)
                     assert got == _outcome(_reference_normalize, manifold, family, mutant)
         assert any(verdicts) and not all(verdicts)
+
+
+def _reference_assignment(summand_blocks, handle_blocks, spun):
+    """``model._assignment`` as a dict sorted by ``Assignment.of``: the
+    encoder's body before it emitted its entries in token order."""
+    mapping = {("d", i): (block, None) for i, block in enumerate(summand_blocks, 1)}
+    for j, (block, flip) in enumerate(zip(handle_blocks, spun), 1):
+        mapping[("d", j, 1)] = (block, "out" if flip else "in")
+        mapping[("d", j, -1)] = (block, "in" if flip else "out")
+    return Assignment.of(mapping)
+
+
+class TestAssignmentEncoder:
+    @pytest.mark.parametrize(
+        "named_manifold, count",
+        [
+            ("mstar", 5184),
+            ("k2l1", 32),
+            ("mixed_types", 64),
+            ("free_mcg", 192),
+            ("handles 3", 98_304),
+        ],
+        indirect=["named_manifold"],
+    )
+    def test_matches_reference_on_every_allowable_assignment(self, named_manifold, count):
+        m = named_manifold
+        checked = 0
+        for _family, nonsep in enumerate_symmetric(m)[0]:
+            for assignment in allowable_assignments(m, nonsep):
+                perm, slots, bits = model._assignment_state(m, nonsep, assignment)
+                summands = [m.block_of(1 << (perm[i] - 1)) for i in range(1, m.k + 1)]
+                handles = [m.block_of(slot) for slot in slots]
+                spun = [bool(bits >> j & 1) for j in range(m.ell)]
+                got = model._assignment(summands, handles, spun)
+                assert got == _reference_assignment(summands, handles, spun)
+                assert got == assignment
+                checked += 1
+        assert checked == count
+
+    @pytest.mark.parametrize("named_manifold", STANDARD_SHORTCUT_CASES, indirect=True)
+    def test_identity_assignment(self, named_manifold):
+        m = named_manifold
+        std = [frozenset({s_label(i)}) for i in range(1, m.k + 1)]
+        ends = [frozenset({e_label(j, 1)}) for j in range(1, m.ell + 1)]
+        assert identity_assignment(m) == _reference_assignment(std, ends, [False] * m.ell)
 
 
 class TestNormalizationCompleteness:
