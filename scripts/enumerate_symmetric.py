@@ -59,13 +59,14 @@ def main(argv=None) -> int:
     lengths = collections.Counter()
     total = unreachable = 0
     for _fam, nonsep in symmetric:
+        nonsep_masks = {b: manifold.mask_of(b) for b in nonsep}
         n = 0
         for assignment in allowable_assignments(manifold, nonsep):
             n += 1
             if not args.lengths:
                 continue
             try:
-                word = _normalize(manifold, nonsep, assignment)
+                word = _normalize(manifold, nonsep_masks, assignment)
             except Unreachable:
                 unreachable += 1
                 continue

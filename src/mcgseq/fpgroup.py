@@ -16,10 +16,9 @@ act trivially.  ``act_letter_pi1`` has one branch per type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidWord, OracleError
 from .model import PrimeDecomposition
+from .values import Value
 
 FPWord = tuple  # of letters
 
@@ -181,17 +180,19 @@ def act_pi1(manifold: PrimeDecomposition, word, u: FPWord) -> FPWord:
 # tabulated automorphisms
 
 
-@dataclass(frozen=True)
-class AutTable:
+class AutTable(Value):
     """Images of every pi1 generator and every x_j under a word."""
 
-    manifold: PrimeDecomposition
-    images: tuple[tuple[tuple, FPWord], ...]  # (key, image word)
-    _image_by_key: dict = field(init=False, repr=False, compare=False, default=None)
+    _fields = ("manifold", "images")
+    __slots__ = _fields + ("_image_by_key",)
 
-    def __post_init__(self):
+    def __init__(
+        self, manifold: PrimeDecomposition, images: tuple[tuple[tuple, FPWord], ...]
+    ):
+        object.__setattr__(self, "manifold", manifold)
+        object.__setattr__(self, "images", images)  # (key, image word)
         # reversed: the first entry of a repeated key wins, as in a scan
-        object.__setattr__(self, "_image_by_key", dict(reversed(self.images)))
+        object.__setattr__(self, "_image_by_key", dict(reversed(images)))
 
     def image_of(self, key) -> FPWord:
         try:
@@ -333,17 +334,19 @@ def h1_basis_vector(manifold: PrimeDecomposition, key):
     return (tuple(factors), tuple(handles))
 
 
-@dataclass(frozen=True)
-class AbAction:
+class AbAction(Value):
     """Induced endomorphism of H1, tabulated on the ab basis."""
 
-    manifold: PrimeDecomposition
-    images: tuple[tuple[tuple, tuple], ...]  # (key, H1 element)
-    _image_by_key: dict = field(init=False, repr=False, compare=False, default=None)
+    _fields = ("manifold", "images")
+    __slots__ = _fields + ("_image_by_key",)
 
-    def __post_init__(self):
+    def __init__(
+        self, manifold: PrimeDecomposition, images: tuple[tuple[tuple, tuple], ...]
+    ):
+        object.__setattr__(self, "manifold", manifold)
+        object.__setattr__(self, "images", images)  # (key, H1 element)
         # reversed: the first entry of a repeated key wins, as in a scan
-        object.__setattr__(self, "_image_by_key", dict(reversed(self.images)))
+        object.__setattr__(self, "_image_by_key", dict(reversed(images)))
 
     def image_of(self, key):
         try:

@@ -12,11 +12,10 @@ what each sphere encloses: a laminar multiset of subsets of L.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import InvalidFamily, NotReducible, NotSymmetric, OracleError
 from .oracles import CyclicOracle, FreeAbelianOracle, GroupOracle, OracleAut
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # labels
@@ -59,8 +58,7 @@ def block_text(block: frozenset) -> str:
 # homeomorphism types and prime decompositions
 
 
-@dataclass(frozen=True)
-class HomeoType:
+class HomeoType(Value):
     """An irreducible summand type: pi1 and mcg oracles plus the mcg action.
 
     ``act`` maps mcg elements to automorphism tables on the pi1 oracle.
@@ -69,14 +67,21 @@ class HomeoType:
     invertible through a declared or derivable inverse token.
     """
 
-    name: str
-    pi1: GroupOracle
-    mcg: GroupOracle
-    act: tuple[tuple[object, OracleAut], ...] = ()
-    _act_by_token: dict = field(init=False, repr=False, compare=False, default=None)
+    _fields = ("name", "pi1", "mcg", "act")
+    __slots__ = _fields + ("_act_by_token",)
 
-    def __post_init__(self):
-        declared = dict(self.act)
+    def __init__(
+        self,
+        name: str,
+        pi1: GroupOracle,
+        mcg: GroupOracle,
+        act: tuple[tuple[object, OracleAut], ...] = (),
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pi1", pi1)
+        object.__setattr__(self, "mcg", mcg)
+        object.__setattr__(self, "act", act)
+        declared = dict(act)
         object.__setattr__(self, "_act_by_token", declared)
         for m, table in declared.items():
             self.mcg.check_element(m)
@@ -151,8 +156,7 @@ class HomeoType:
         return out
 
 
-@dataclass(frozen=True)
-class PrimeDecomposition:
+class PrimeDecomposition(Value):
     """W as an ordered list of irreducible summand types plus a handle count.
 
     A label is a bit in ``labels()`` order and a block is an ``int`` mask
@@ -160,28 +164,32 @@ class PrimeDecomposition:
     ends and of the e(j,+) ends, the standard system's blocks, the summand
     targets (for each summand i, the singletons {s(p)} of its type, each
     with its p), the duplicate tokens and the hash are derived once, here:
-    the dataclass hash would rehash every nested summand type on each call.
+    hashing the fields would rehash every nested summand type on each call.
     ``block_of`` memoizes its frozensets in a dict keyed by the mask's part
     inside L, so it holds at most one entry per subset of L; it starts with
-    the standard blocks, so it returns those same objects.
+    the standard blocks, so it returns those same objects.  The
+    ``_identity_image`` slot keeps the identity of H(V) once
+    ``sequence.identity_image`` has built it (None until then).
     """
 
-    summands: tuple[HomeoType, ...]
-    handles: int
-    _labels: tuple = field(init=False, repr=False, compare=False, default=())
-    label_bits: dict = field(init=False, repr=False, compare=False, default=None)
-    full_mask: int = field(init=False, repr=False, compare=False, default=0)
-    handle_masks: tuple = field(init=False, repr=False, compare=False, default=())
-    plus_ends: int = field(init=False, repr=False, compare=False, default=0)
-    standard_blocks: tuple = field(init=False, repr=False, compare=False, default=())
-    summand_targets: tuple = field(init=False, repr=False, compare=False, default=())
-    duplicate_tokens: frozenset = field(init=False, repr=False, compare=False, default=None)
-    _blocks: dict = field(init=False, repr=False, compare=False, default=None)
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-    # the identity of H(V), built on first use by sequence.identity_image
-    _identity_image: object = field(init=False, repr=False, compare=False, default=None)
+    _fields = ("summands", "handles")
+    __slots__ = _fields + (
+        "_labels",
+        "label_bits",
+        "full_mask",
+        "handle_masks",
+        "plus_ends",
+        "standard_blocks",
+        "summand_targets",
+        "duplicate_tokens",
+        "_blocks",
+        "_hash",
+        "_identity_image",
+    )
 
-    def __post_init__(self):
+    def __init__(self, summands: tuple[HomeoType, ...], handles: int):
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "handles", handles)
         if self.handles < 0:
             raise ValueError("handle count must be >= 0")
         if self.handles == 0 and len(self.summands) < 2:
@@ -214,16 +222,13 @@ class PrimeDecomposition:
             ),
             "_blocks": standard,
             "_hash": hash((self.summands, self.handles)),
+            "_identity_image": None,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # rebuild on unpickling: a hash taken in another process is stale
-        return (PrimeDecomposition, (self.summands, self.handles))
 
     @property
     def k(self) -> int:
@@ -307,11 +312,21 @@ def is_laminar(masks, full: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LaminarFamily:
+class LaminarFamily(Value):
     """A sphere system in the holed sphere: a canonical multiset of blocks."""
 
-    blocks: tuple[frozenset, ...]
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[frozenset, ...]):
+        _set_blocks(self, blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.blocks,))
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[Label]]) -> "LaminarFamily":
@@ -325,18 +340,31 @@ class LaminarFamily:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str  # 'unknown-label' | 'empty-block' | 'full-block' | 'overlap'
-    blocks: tuple[frozenset, ...]
-    message: str
+_set_blocks = LaminarFamily.blocks.__set__
 
 
-@dataclass(frozen=True)
-class LaminarReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-    duplicates: tuple[frozenset, ...]
+class Violation(Value):
+    __slots__ = _fields = ("code", "blocks", "message")
+
+    def __init__(self, code: str, blocks: tuple[frozenset, ...], message: str):
+        # code: 'unknown-label' | 'empty-block' | 'full-block' | 'overlap'
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "message", message)
+
+
+class LaminarReport(Value):
+    __slots__ = _fields = ("ok", "violations", "duplicates")
+
+    def __init__(
+        self,
+        ok: bool,
+        violations: tuple[Violation, ...],
+        duplicates: tuple[frozenset, ...],
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "duplicates", duplicates)
 
 
 def _unknown_label_message(manifold: PrimeDecomposition, block: frozenset) -> str:
@@ -464,19 +492,36 @@ def _separates(manifold: PrimeDecomposition, mask: int) -> bool:
     return not (mask ^ mask >> 1) & manifold.plus_ends
 
 
-@dataclass(frozen=True)
-class BlockInfo:
-    block: frozenset
-    separating: bool
-    census: frozenset  # labels of the chamber between the block and its children
+class BlockInfo(Value):
+    __slots__ = _fields = ("block", "separating", "census")
+
+    def __init__(self, block: frozenset, separating: bool, census: frozenset):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "separating", separating)
+        # labels of the chamber between the block and its children
+        object.__setattr__(self, "census", census)
 
 
-@dataclass(frozen=True)
-class SystemClass:
-    per_block: tuple[BlockInfo, ...]
-    is_symmetric: bool
-    summand_blocks: tuple[tuple[int, frozenset], ...] = ()  # (i, block) when symmetric
-    nonsep_blocks: tuple[frozenset, ...] = ()
+class SystemClass(Value):
+    __slots__ = _fields = (
+        "per_block",
+        "is_symmetric",
+        "summand_blocks",
+        "nonsep_blocks",
+    )
+
+    def __init__(
+        self,
+        per_block: tuple[BlockInfo, ...],
+        is_symmetric: bool,
+        summand_blocks: tuple[tuple[int, frozenset], ...] = (),
+        nonsep_blocks: tuple[frozenset, ...] = (),
+    ):
+        object.__setattr__(self, "per_block", per_block)
+        object.__setattr__(self, "is_symmetric", is_symmetric)
+        # (i, block) when symmetric
+        object.__setattr__(self, "summand_blocks", summand_blocks)
+        object.__setattr__(self, "nonsep_blocks", nonsep_blocks)
 
 
 def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool:
@@ -553,15 +598,17 @@ def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
     return seen == summands and (not blocks or _handles_connect(manifold, blocks, ()))
 
 
-def _symmetric_nonsep_blocks(manifold: PrimeDecomposition, blocks):
-    """A symmetric family's non-separating blocks, in order, or None when
-    the laminar family is not symmetric (``family_masks`` raises on one
-    that is not laminar).  Its other blocks are the singletons {s(i)}, so
-    these are the blocks with a bit at or above k."""
+def _symmetric_nonsep_masks(manifold: PrimeDecomposition, blocks):
+    """A symmetric family's non-separating blocks, in order, each mapped to
+    its mask, or None when the laminar family is not symmetric
+    (``family_masks`` raises on one that is not laminar).  Its other blocks
+    are the singletons {s(i)}, so these are the blocks with a bit at or
+    above k; no two are equal, since a symmetric family has no parallel
+    blocks."""
     masks = family_masks(manifold, blocks)
     if not _is_symmetric(manifold, masks):
         return None
-    return tuple(b for b, m in zip(blocks, masks) if m >> manifold.k)
+    return {b: m for b, m in zip(blocks, masks) if m >> manifold.k}
 
 
 def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> SystemClass:
@@ -609,9 +656,19 @@ def associated_separating(manifold: PrimeDecomposition, j: int) -> frozenset:
 # textio and verify's independent enumerator build or read the mapping.
 
 
-@dataclass(frozen=True)
-class Assignment:
-    entries: tuple[tuple[tuple, tuple], ...]
+class Assignment(Value):
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[tuple, tuple], ...]):
+        _set_entries(self, entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @classmethod
     def of(cls, mapping: dict) -> "Assignment":
@@ -627,6 +684,9 @@ class Assignment:
             if tok == token:
                 return target
         raise KeyError(token)
+
+
+_set_entries = Assignment.entries.__set__
 
 
 def _assignment(summand_blocks, handle_blocks, spun) -> Assignment:
@@ -660,19 +720,21 @@ def allowable(
 ) -> bool:
     """True iff the assignment is allowable onto the (symmetric) family,
     that is iff ``_assignment_state`` decodes it."""
-    nonsep = _symmetric_nonsep_blocks(manifold, family.blocks)
-    if nonsep is None:
+    nonsep_masks = _symmetric_nonsep_masks(manifold, family.blocks)
+    if nonsep_masks is None:
         raise NotSymmetric("allowable assignments target symmetric systems only")
-    return _assignment_state(manifold, nonsep, assignment) is not None
+    return _assignment_state(manifold, nonsep_masks, assignment) is not None
 
 
-def _assignment_state(manifold: PrimeDecomposition, nonsep_blocks, assignment):
-    """Decode an assignment onto a symmetric family with these
-    non-separating blocks into ``(perm, slots, bits)``, or None when it is
-    not allowable: when its tokens are not ``duplicate_tokens``, a d(i) has
-    a side or misses the summand blocks {s(p)} of its type, two d(i) share
-    a block, a handle's d(j,+) and d(j,-) are not the two sides of one
-    non-separating block, or two handles share a block.
+def _assignment_state(manifold: PrimeDecomposition, nonsep_masks, assignment):
+    """Decode an assignment onto a symmetric family whose non-separating
+    blocks are the keys of ``nonsep_masks``, each mapped to its mask (as
+    ``_symmetric_nonsep_masks`` returns them), into ``(perm, slots,
+    bits)``, or None when it is not allowable: when its tokens are not
+    ``duplicate_tokens``, a d(i) has a side or misses the summand blocks
+    {s(p)} of its type, two d(i) share a block, a handle's d(j,+) and
+    d(j,-) are not the two sides of one non-separating block, or two
+    handles share a block.
 
     ``perm[i]`` is d(i)'s p, ``slots[j-1]`` the mask of handle j's block,
     and bit j-1 of ``bits`` is set when d(j,+) is on the 'out' side.
@@ -691,14 +753,13 @@ def _assignment_state(manifold: PrimeDecomposition, nonsep_blocks, assignment):
         if side is not None or p is None:
             return None
         perm[i] = p
-    mask_of_block = {b: manifold.mask_of(b) for b in nonsep_blocks}
     slots, bits = [], 0
     for j in range(1, manifold.ell + 1):
         bp, sp = mapping[("d", j, 1)]
         bm, sm = mapping[("d", j, -1)]
-        if bp != bm or bp not in mask_of_block or {sp, sm} != {"in", "out"}:
+        if bp != bm or bp not in nonsep_masks or {sp, sm} != {"in", "out"}:
             return None
-        slots.append(mask_of_block[bp])
+        slots.append(nonsep_masks[bp])
         if sp == "out":
             bits |= 1 << (j - 1)
     if len(set(perm.values())) < manifold.k or len(set(slots)) < manifold.ell:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import OracleError, ParseError
+from .values import Value
 
 _NAME_RE = re.compile(r"^(?:1|[A-Za-z][A-Za-z0-9_']*)$")
 
@@ -57,9 +56,10 @@ def parse_index(digits: str, term: str) -> int:
     return int(digits)
 
 
-class GroupOracle:
+class GroupOracle(Value):
     """Shared behaviour; concrete kinds override the primitives."""
 
+    __slots__ = ()
     kind: str = "?"
 
     # -- primitives ------------------------------------------------------
@@ -138,17 +138,16 @@ class GroupOracle:
         return table[a]
 
 
-@dataclass(frozen=True)
 class CyclicOracle(GroupOracle):
     """Z/n; elements are ints 0..n-1, the generator is g1 = 1."""
 
-    order: int
-
+    __slots__ = _fields = ("order",)
     kind = "cyclic"
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int):
+        if order < 1:
             raise OracleError("cyclic order must be >= 1")
+        object.__setattr__(self, "order", order)
 
     @property
     def identity(self):
@@ -213,17 +212,16 @@ def _free_reduce_pairs(seq):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class FreeOracle(GroupOracle):
     """Free group of rank r; elements are reduced tuples of (index, ±1)."""
 
-    rank: int
-
+    __slots__ = _fields = ("rank",)
     kind = "free"
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise OracleError("free rank must be >= 1")
+        object.__setattr__(self, "rank", rank)
 
     @property
     def identity(self):
@@ -290,17 +288,16 @@ class FreeOracle(GroupOracle):
         return tuple(vec)
 
 
-@dataclass(frozen=True)
 class FreeAbelianOracle(GroupOracle):
     """Z^r; elements are integer r-tuples."""
 
-    rank: int
-
+    __slots__ = _fields = ("rank",)
     kind = "free-abelian"
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise OracleError("free-abelian rank must be >= 1")
+        object.__setattr__(self, "rank", rank)
 
     @property
     def identity(self):
@@ -366,7 +363,6 @@ class FreeAbelianOracle(GroupOracle):
         return self, None
 
 
-@dataclass(frozen=True)
 class TableOracle(GroupOracle):
     """Finite group given by its full multiplication table.
 
@@ -374,16 +370,16 @@ class TableOracle(GroupOracle):
     names[i] * names[j] ("apply names[i], then names[j]").
     """
 
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    _identity_index: int = field(init=False, repr=False, compare=False, default=-1)
-    _index_of: dict = field(init=False, repr=False, compare=False, default=None)
-    # set on first use: the quotient is a TableOracle, so __post_init__ would recurse
-    _abelianization: tuple = field(init=False, repr=False, compare=False, default=None)
-
+    _fields = ("names", "table")
+    __slots__ = _fields + ("_identity_index", "_index_of", "_abelianization")
     kind = "table"
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "table", table)
+        # set on first use: the quotient is a TableOracle, so building it here
+        # would recurse
+        object.__setattr__(self, "_abelianization", None)
         n = len(self.names)
         if n == 0:
             raise OracleError("empty multiplication table")
@@ -561,17 +557,17 @@ def parse_group_spec(text: str) -> GroupOracle:
     raise ParseError(f"unrecognized group spec {text!r}")
 
 
-@dataclass(frozen=True)
-class OracleAut:
+class OracleAut(Value):
     """An automorphism of an oracle group, tabulated on its generators."""
 
-    oracle: GroupOracle
-    images: tuple[tuple[str, object], ...]  # (gen_name, image element)
-    _image_by_name: dict = field(init=False, repr=False, compare=False, default=None)
+    _fields = ("oracle", "images")
+    __slots__ = _fields + ("_image_by_name",)
 
-    def __post_init__(self):
+    def __init__(self, oracle: GroupOracle, images: tuple[tuple[str, object], ...]):
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "images", images)  # (gen_name, image element)
         # reversed: the first entry of a repeated name wins, as in a scan
-        object.__setattr__(self, "_image_by_name", dict(reversed(self.images)))
+        object.__setattr__(self, "_image_by_name", dict(reversed(images)))
         declared = set(self._image_by_name)
         expected = set(self.oracle.gen_names())
         if declared != expected:

@@ -11,29 +11,41 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidWord, NotDiscrepant, OracleError, TypeMismatch
 from .model import HomeoType, PrimeDecomposition
 from . import words as w
+from .values import Value
 
 
-@dataclass(frozen=True)
-class EductionImage:
+class EductionImage(Value):
     """An element of H(V): permutation of summands plus per-summand tokens.
 
     ``perm[i-1]`` is the image of summand i; ``tokens[i-1]`` is the mcg
     oracle element attached at source summand i.
     """
 
-    perm: tuple[int, ...]
-    tokens: tuple
+    __slots__ = _fields = ("perm", "tokens")
+
+    def __init__(self, perm: tuple[int, ...], tokens: tuple):
+        _set_perm(self, perm)
+        _set_tokens(self, tokens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.perm, self.tokens) == (other.perm, other.tokens)
+
+    def __hash__(self):
+        return hash((self.perm, self.tokens))
 
     def perm_of(self, i: int) -> int:
         return self.perm[i - 1]
 
     def token_of(self, i: int):
         return self.tokens[i - 1]
+
+
+_set_perm, _set_tokens = EductionImage.perm.__set__, EductionImage.tokens.__set__
 
 
 def identity_image(manifold: PrimeDecomposition) -> EductionImage:
@@ -209,38 +221,46 @@ def factor_discrepant(word: w.Word) -> w.Word:
 # spotted manifolds
 
 
-@dataclass(frozen=True)
-class SpottedMarking:
+class SpottedMarking(Value):
     """A capped manifold V0 with p >= 1 removed balls (spots)."""
 
-    cap_type: HomeoType
-    spots: int
+    __slots__ = _fields = ("cap_type", "spots")
 
-    def __post_init__(self):
-        if self.spots < 1:
+    def __init__(self, cap_type: HomeoType, spots: int):
+        if spots < 1:
             raise ValueError("a spotted manifold needs at least one spot")
+        object.__setattr__(self, "cap_type", cap_type)
+        object.__setattr__(self, "spots", spots)
 
 
-@dataclass(frozen=True)
-class SpotSlide:
-    spot: int
-    path: object  # element of pi1(V0)
+class SpotSlide(Value):
+    __slots__ = _fields = ("spot", "path")  # path: element of pi1(V0)
+
+    def __init__(self, spot: int, path):
+        object.__setattr__(self, "spot", spot)
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class SpotSwap:
-    a: int
-    b: int
+class SpotSwap(Value):
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class SpotTwist:
-    spot: int
+class SpotTwist(Value):
+    __slots__ = _fields = ("spot",)
+
+    def __init__(self, spot: int):
+        object.__setattr__(self, "spot", spot)
 
 
-@dataclass(frozen=True)
-class CapAut:
-    token: object  # element of mcg(V0)
+class CapAut(Value):
+    __slots__ = _fields = ("token",)  # element of mcg(V0)
+
+    def __init__(self, token):
+        object.__setattr__(self, "token", token)
 
 
 def check_spotted_letter(marking: SpottedMarking, letter) -> None:

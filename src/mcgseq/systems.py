@@ -52,7 +52,7 @@ from .model import (
     _assignment,
     _assignment_state,
     _is_symmetric,
-    _symmetric_nonsep_blocks,
+    _symmetric_nonsep_masks,
     block_text,
     e_label,
     family_masks,
@@ -356,27 +356,28 @@ def normalize_system(
     assignment permutes summands) carrying the standard system onto the
     family with the given duplicate correspondence.
 
-    Symmetry and the non-separating blocks are read off the family's masks
-    (``model._symmetric_nonsep_blocks``), with no classification.
+    Symmetry and the non-separating blocks with their masks are read off
+    the family's masks (``model._symmetric_nonsep_masks``), with no
+    classification.
     """
-    nonsep = _symmetric_nonsep_blocks(manifold, family.blocks)
-    if nonsep is None:
+    nonsep_masks = _symmetric_nonsep_masks(manifold, family.blocks)
+    if nonsep_masks is None:
         raise NotSymmetric("normalization target must be a symmetric system")
-    return _normalize(manifold, nonsep, assignment)
+    return _normalize(manifold, nonsep_masks, assignment)
 
 
 def _normalize(
-    manifold: PrimeDecomposition, nonsep_blocks, assignment: Assignment
+    manifold: PrimeDecomposition, nonsep_masks: dict, assignment: Assignment
 ) -> w.Word:
-    """``normalize_system`` onto a symmetric family with these
-    non-separating blocks.
+    """``normalize_system`` onto a symmetric family whose non-separating
+    blocks are the keys of ``nonsep_masks``, each mapped to its mask.
 
     The assignment is decoded once, by ``model._assignment_state``: the
     summand permutation gives the swapIrr prefix, and the handle-slot masks
     and spin bits give the search key (discrepant moves never change the
     summand slots, so the search leaves them out).
     """
-    state = _assignment_state(manifold, nonsep_blocks, assignment)
+    state = _assignment_state(manifold, nonsep_masks, assignment)
     if state is None:
         raise NotAllowable("assignment is not allowable onto the target family")
     perm, slots, bits = state

@@ -13,78 +13,181 @@ builds a new word, which starts with neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import InvalidWord, ManifoldMismatch
 from .model import PrimeDecomposition
 from . import fpgroup
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # letters
 
 
-@dataclass(frozen=True)
-class SlideIrr:
+class SlideIrr(Value):
     """Slide of the one-holed summand i along a closed path."""
 
-    summand: int
-    path: tuple  # FPWord; must avoid factor G_i letters
+    # path: FPWord; must avoid factor G_i letters
+    __slots__ = _fields = ("summand", "path")
+
+    def __init__(self, summand: int, path: tuple):
+        _set_slide_irr_summand(self, summand)
+        _set_slide_irr_path(self, path)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.summand, self.path) == (other.summand, other.path)
+
+    def __hash__(self):
+        return hash((self.summand, self.path))
 
 
-@dataclass(frozen=True)
-class SlideEnd:
+class SlideEnd(Value):
     """Slide of one end e(j, sign) of a non-separating sphere."""
 
-    handle: int
-    sign: int  # +1 or -1
-    path: tuple  # FPWord; must avoid x_j letters
+    # sign: +1 or -1; path: FPWord; must avoid x_j letters
+    __slots__ = _fields = ("handle", "sign", "path")
+
+    def __init__(self, handle: int, sign: int, path: tuple):
+        _set_slide_end_handle(self, handle)
+        _set_slide_end_sign(self, sign)
+        _set_slide_end_path(self, path)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.handle, self.sign, self.path) == (
+            other.handle,
+            other.sign,
+            other.path,
+        )
+
+    def __hash__(self):
+        return hash((self.handle, self.sign, self.path))
 
 
-@dataclass(frozen=True)
-class SlideHandle:
+class SlideHandle(Value):
     """Slide of the capped holed S^2 x S^1 summand cut off by C(S_j)."""
 
-    handle: int
-    path: tuple  # FPWord; must avoid x_j letters
+    # path: FPWord; must avoid x_j letters
+    __slots__ = _fields = ("handle", "path")
+
+    def __init__(self, handle: int, path: tuple):
+        _set_slide_handle_handle(self, handle)
+        _set_slide_handle_path(self, path)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.handle, self.path) == (other.handle, other.path)
+
+    def __hash__(self):
+        return hash((self.handle, self.path))
 
 
-@dataclass(frozen=True)
-class Spin:
+class Spin(Value):
     """Half Dehn twist on the separating sphere associated to handle j."""
 
-    handle: int
+    __slots__ = _fields = ("handle",)
+
+    def __init__(self, handle: int):
+        _set_spin_handle(self, handle)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.handle == other.handle
+
+    def __hash__(self):
+        return hash((self.handle,))
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Value):
     """Dehn twist on a standard sphere; ref is ('sep',i)/('nonsep',j)/('assoc',j)."""
 
-    ref: tuple
+    __slots__ = _fields = ("ref",)
+
+    def __init__(self, ref: tuple):
+        _set_twist_ref(self, ref)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ref == other.ref
+
+    def __hash__(self):
+        return hash((self.ref,))
 
 
-@dataclass(frozen=True)
-class SwapHandles:
+class SwapHandles(Value):
     """Interchanging slide of two S^2 x S^1 summands (a < b)."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        _set_swap_handles_a(self, a)
+        _set_swap_handles_b(self, b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
 
-@dataclass(frozen=True)
-class SwapIrr:
+class SwapIrr(Value):
     """Interchanging slide of two homeomorphic irreducible summands (a < b)."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        _set_swap_irr_a(self, a)
+        _set_swap_irr_b(self, b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
 
-@dataclass(frozen=True)
-class Aut:
+class Aut(Value):
     """A mapping-class token of HomeoType(i) applied to summand i."""
 
-    summand: int
-    token: object  # mcg oracle element
+    __slots__ = _fields = ("summand", "token")  # token: mcg oracle element
 
+    def __init__(self, summand: int, token):
+        _set_aut_summand(self, summand)
+        _set_aut_token(self, token)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.summand, self.token) == (other.summand, other.token)
+
+    def __hash__(self):
+        return hash((self.summand, self.token))
+
+
+# the letters' constructors write through their slot descriptors
+_set_slide_irr_summand = SlideIrr.summand.__set__
+_set_slide_irr_path = SlideIrr.path.__set__
+_set_slide_end_handle = SlideEnd.handle.__set__
+_set_slide_end_sign = SlideEnd.sign.__set__
+_set_slide_end_path = SlideEnd.path.__set__
+_set_slide_handle_handle = SlideHandle.handle.__set__
+_set_slide_handle_path = SlideHandle.path.__set__
+_set_spin_handle = Spin.handle.__set__
+_set_twist_ref = Twist.ref.__set__
+_set_swap_handles_a = SwapHandles.a.__set__
+_set_swap_handles_b = SwapHandles.b.__set__
+_set_swap_irr_a = SwapIrr.a.__set__
+_set_swap_irr_b = SwapIrr.b.__set__
+_set_aut_summand = Aut.summand.__set__
+_set_aut_token = Aut.token.__set__
 
 _SLIDES = (SlideIrr, SlideEnd, SlideHandle)
 DISCREPANT_KINDS = _SLIDES + (Spin, Twist, SwapHandles)
@@ -149,32 +252,26 @@ def check_letter(manifold: PrimeDecomposition, letter) -> None:
 # words
 
 
-class Word:
+class Word(Value):
     """An immutable word over the alphabet of H(W) on one manifold.
 
-    Equality, hash and repr are those of the pair (manifold, letters).  The
-    ``_image`` slot keeps the word's eduction once ``sequence._eduction``
-    has folded it (None until then).  The ``_fold`` slot keeps the
-    (slot masks, spin bits) of the standard system carried along the word
-    once ``systems._standard_fold`` has folded it; it is left unset until
-    then, so that building a word stores nothing more, and reading it
-    raises AttributeError.  Neither memo takes part in equality, hash,
-    repr, pickling or copying.  Slots are written through their
-    descriptors, so ``__setattr__`` can refuse every assignment.
+    A ``Value`` of the pair (manifold, letters).  The ``_image`` slot keeps
+    the word's eduction once ``sequence._eduction`` has folded it (None
+    until then).  The ``_fold`` slot keeps the (slot masks, spin bits) of
+    the standard system carried along the word once
+    ``systems._standard_fold`` has folded it; it is left unset until then,
+    so that building a word stores nothing more, and reading it raises
+    AttributeError.  Neither memo takes part in equality, hash, repr,
+    pickling or copying.
     """
 
-    __slots__ = ("manifold", "letters", "_image", "_fold")
+    _fields = ("manifold", "letters")
+    __slots__ = _fields + ("_image", "_fold")
 
     def __init__(self, manifold: PrimeDecomposition, letters: tuple):
         _set_manifold(self, manifold)
         _set_letters(self, letters)
         _set_image(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Word")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Word")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -183,13 +280,6 @@ class Word:
 
     def __hash__(self):
         return hash((self.manifold, self.letters))
-
-    def __repr__(self):
-        return f"Word(manifold={self.manifold!r}, letters={self.letters!r})"
-
-    def __reduce__(self):
-        # rebuild on unpickling and copying, without the memos
-        return (Word, (self.manifold, self.letters))
 
     @classmethod
     def of(cls, manifold: PrimeDecomposition, letters) -> "Word":
@@ -221,9 +311,19 @@ def compose(w1: Word, w2: Word) -> Word:
     return Word(w1.manifold, w1.letters + w2.letters)
 
 
+def _along(slide, path: tuple):
+    """The slide letter with its path replaced."""
+    kind = type(slide)
+    if kind is SlideEnd:
+        return SlideEnd(slide.handle, slide.sign, path)
+    if kind is SlideHandle:
+        return SlideHandle(slide.handle, path)
+    return SlideIrr(slide.summand, path)
+
+
 def _invert_letter(manifold: PrimeDecomposition, letter) -> tuple:
     if isinstance(letter, _SLIDES):
-        return (replace(letter, path=fpgroup.fp_inv(manifold, letter.path)),)
+        return (_along(letter, fpgroup.fp_inv(manifold, letter.path)),)
     if isinstance(letter, Spin):
         # spin^-1 = spin * twist(assoc); the half twist undone overshoots by
         # a full twist
@@ -313,11 +413,12 @@ def _push_right(manifold: PrimeDecomposition, a, d):
         if isinstance(d, Twist) and d.ref[0] == "sep":
             return Twist(("sep", swap.get(d.ref[1], d.ref[1])))
         if isinstance(d, SlideIrr):
-            d = replace(d, summand=swap.get(d.summand, d.summand))
+            path = fpgroup.act_letter_pi1(manifold, a, d.path)
+            return SlideIrr(swap.get(d.summand, d.summand), path)
     elif isinstance(d, _SLIDES):
         a = Aut(a.summand, manifold.type_of(a.summand).mcg.inv(a.token))
     if isinstance(d, _SLIDES):
-        return replace(d, path=fpgroup.act_letter_pi1(manifold, a, d.path))
+        return _along(d, fpgroup.act_letter_pi1(manifold, a, d.path))
     return d
 
 

@@ -1214,9 +1214,11 @@ class TestAssignmentEncoder:
     def test_matches_reference_on_every_allowable_assignment(self, named_manifold, count):
         m = named_manifold
         checked = 0
-        for _family, nonsep in enumerate_symmetric(m)[0]:
+        for family, nonsep in enumerate_symmetric(m)[0]:
+            nonsep_masks = model._symmetric_nonsep_masks(m, family.blocks)
+            assert tuple(nonsep_masks) == nonsep
             for assignment in allowable_assignments(m, nonsep):
-                perm, slots, bits = model._assignment_state(m, nonsep, assignment)
+                perm, slots, bits = model._assignment_state(m, nonsep_masks, assignment)
                 summands = [m.block_of(1 << (perm[i] - 1)) for i in range(1, m.k + 1)]
                 handles = [m.block_of(slot) for slot in slots]
                 spun = [bool(bits >> j & 1) for j in range(m.ell)]

@@ -1,0 +1,216 @@
+"""The immutable value classes behave as frozen dataclasses of their fields.
+
+Each of the 30 classes, ``Word`` and the 29 that were frozen dataclasses,
+is checked against a ``dataclasses.make_dataclass`` reference with the
+same fields and defaults: repr, equality only within one class, hash,
+refusal to set or delete, pickle and copy round trips, and positional,
+keyword and default construction.  The package itself does not import
+``dataclasses``: a fresh interpreter that imports the CLI loads neither it
+nor ``inspect``.
+"""
+
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mcgseq import fpgroup, model, oracles, sequence, words as w
+from mcgseq.textio import parse_word
+
+ROOT = Path(__file__).resolve().parent.parent
+
+S1 = frozenset({model.s_label(1)})
+E1 = frozenset({model.e_label(1, 1)})
+
+
+def _cases(m):
+    """Class name -> (class, fields in order, the fields of an unequal
+    instance, the defaulted fields).  Built from the mstar manifold, so
+    each constructor's checks pass."""
+    t = m.type_of(1)
+    aut = t.act[0][1]
+    word = parse_word(m, "slideIrr(1; x1) spin(1)")
+    trivial = oracles.CyclicOracle(1)
+    violation = model.Violation("empty-block", (frozenset(),), "empty block")
+    klass = model.classify_system(m, model.standard_system(m))
+    table = fpgroup.aut_of_word(m, word)
+    ab = fpgroup.abelianized_action(m, word)
+    rows = [
+        (w.SlideIrr, {"summand": 1, "path": (("x", 1, 1),)}, {"summand": 2}),
+        (w.SlideEnd, {"handle": 1, "sign": -1, "path": (("x", 2, 1),)}, {"sign": 1}),
+        (w.SlideHandle, {"handle": 1, "path": (("x", 2, 1),)}, {"handle": 2}),
+        (w.Spin, {"handle": 1}, {"handle": 2}),
+        (w.Twist, {"ref": ("assoc", 1)}, {"ref": ("nonsep", 1)}),
+        (w.SwapHandles, {"a": 1, "b": 2}, {"b": 3}),
+        (w.SwapIrr, {"a": 1, "b": 2}, {"a": 0}),
+        (w.Aut, {"summand": 1, "token": "tau"}, {"token": "1"}),
+        (w.Word, {"manifold": m, "letters": word.letters}, {"letters": ()}),
+        (sequence.EductionImage, {"perm": (2, 1), "tokens": ("1", "tau")}, {"perm": (1, 2)}),
+        (sequence.SpottedMarking, {"cap_type": t, "spots": 3}, {"spots": 2}),
+        (sequence.SpotSlide, {"spot": 1, "path": 1}, {"path": 0}),
+        (sequence.SpotSwap, {"a": 1, "b": 2}, {"b": 3}),
+        (sequence.SpotTwist, {"spot": 2}, {"spot": 1}),
+        (sequence.CapAut, {"token": "tau"}, {"token": "1"}),
+        (
+            model.HomeoType,
+            {"name": "B", "pi1": oracles.CyclicOracle(3), "mcg": trivial, "act": ()},
+            {"name": "C"},
+        ),
+        (model.PrimeDecomposition, {"summands": m.summands, "handles": 2}, {"handles": 1}),
+        (model.LaminarFamily, {"blocks": (S1, E1)}, {"blocks": (S1,)}),
+        (
+            model.Violation,
+            {"code": "empty-block", "blocks": (frozenset(),), "message": "empty block"},
+            {"code": "overlap"},
+        ),
+        (
+            model.LaminarReport,
+            {"ok": False, "violations": (violation,), "duplicates": ()},
+            {"duplicates": (S1,)},
+        ),
+        (model.BlockInfo, {"block": S1, "separating": True, "census": S1}, {"census": E1}),
+        (
+            model.SystemClass,
+            {
+                "per_block": klass.per_block,
+                "is_symmetric": True,
+                "summand_blocks": klass.summand_blocks,
+                "nonsep_blocks": klass.nonsep_blocks,
+            },
+            {"nonsep_blocks": ()},
+        ),
+        (model.Assignment, {"entries": model.identity_assignment(m).entries}, {"entries": ()}),
+        (oracles.CyclicOracle, {"order": 2}, {"order": 3}),
+        (oracles.FreeOracle, {"rank": 1}, {"rank": 2}),
+        (oracles.FreeAbelianOracle, {"rank": 1}, {"rank": 2}),
+        (
+            oracles.TableOracle,
+            {"names": t.mcg.names, "table": t.mcg.table},
+            {"names": ("e", "t")},
+        ),
+        (
+            oracles.OracleAut,
+            {"oracle": aut.oracle, "images": aut.images},
+            {"oracle": oracles.CyclicOracle(3), "images": (("g1", 2),)},
+        ),
+        (fpgroup.AutTable, {"manifold": m, "images": table.images}, {"images": ()}),
+        (fpgroup.AbAction, {"manifold": m, "images": ab.images}, {"images": ()}),
+    ]
+    defaults = {
+        model.HomeoType: {"act": ()},
+        model.SystemClass: {"summand_blocks": (), "nonsep_blocks": ()},
+    }
+    return {
+        cls.__name__: (cls, fields, {**fields, **changed}, defaults.get(cls, {}))
+        for cls, fields, changed in rows
+    }
+
+
+NAMES = [
+    "SlideIrr", "SlideEnd", "SlideHandle", "Spin", "Twist", "SwapHandles",
+    "SwapIrr", "Aut", "Word", "EductionImage", "SpottedMarking", "SpotSlide",
+    "SpotSwap", "SpotTwist", "CapAut", "HomeoType", "PrimeDecomposition",
+    "LaminarFamily", "Violation", "LaminarReport", "BlockInfo", "SystemClass",
+    "Assignment", "CyclicOracle", "FreeOracle", "FreeAbelianOracle",
+    "TableOracle", "OracleAut", "AutTable", "AbAction",
+]
+
+
+@pytest.fixture(scope="module")
+def cases(mstar):
+    built = _cases(mstar)
+    assert sorted(built) == sorted(NAMES)
+    return built
+
+
+def _reference(cls, fields, defaults):
+    spec = [
+        (name, object, dataclasses.field(default=defaults[name]))
+        if name in defaults
+        else name
+        for name in fields
+    ]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+@pytest.mark.parametrize("name", NAMES)
+class TestDataclassConformance:
+    def test_repr_hash_and_construction(self, cases, name):
+        cls, fields, _, defaults = cases[name]
+        reference = _reference(cls, fields, defaults)(**fields)
+        value = cls(**fields)
+        assert cls(*fields.values()) == value
+        assert repr(value) == repr(reference)
+        assert hash(value) == hash(reference) == hash(tuple(fields.values()))
+        assert not hasattr(value, "__dict__")
+        required = [v for k, v in fields.items() if k not in defaults]
+        if defaults:
+            assert cls(*required) == cls(*required, *defaults.values())
+            assert repr(cls(*required)) == repr(_reference(cls, fields, defaults)(*required))
+
+    def test_equality_within_one_class(self, cases, name):
+        cls, fields, changed, defaults = cases[name]
+        value, twin, other = cls(**fields), cls(**fields), cls(**changed)
+        assert value == twin and not value != twin and hash(value) == hash(twin)
+        assert value != other and not value == other
+        reference = _reference(cls, fields, defaults)(**fields)
+        assert value.__eq__(reference) is NotImplemented
+        assert value != reference and reference != value
+        assert value != tuple(fields.values())
+
+    def test_fields_cannot_be_set_or_deleted(self, cases, name):
+        cls, fields, _, _ = cases[name]
+        value = cls(**fields)
+        for field in [*fields, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert value == cls(**fields)
+        assert [getattr(value, f) for f in fields] == list(fields.values())
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_are_equal(self, cases, name, clone):
+        cls, fields, _, _ = cases[name]
+        value = cls(**fields)
+        twin = clone(value)
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
+def test_letters_of_two_classes_differ():
+    assert w.SwapIrr(1, 2) != w.SwapHandles(1, 2)
+    assert w.SwapHandles(1, 2) != w.SwapIrr(1, 2)
+    assert not w.SwapIrr(1, 2) == sequence.SpotSwap(1, 2)
+    assert len({w.SwapIrr(1, 2), w.SwapHandles(1, 2), sequence.SpotSwap(1, 2)}) == 3
+
+
+def test_cli_import_loads_no_dataclasses():
+    """``-S`` skips ``site``, which may import either module on its own."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, mcgseq.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
