@@ -16,8 +16,8 @@ the other compiles.  The output file holds, per
 run, the workload, seed, side, its place in the pair, the exit code and the
 final JSON line that run.py prints.  A summary of each end-to-end metric
 that ``BENCHMARK.json`` lists (each side's median and quartiles, pairs the
-change wins), after a count of each side's runs that failed a check, goes
-to stdout.
+change wins, the relative change of the medians), after a count of each
+side's runs that failed a check, goes to stdout.
 
 A parent checkout can be made with ``git archive``:
 
@@ -64,8 +64,9 @@ def _median_quartiles(values) -> str:
 def summary(runs: list, metrics: list) -> list:
     """Per workload, one line counting the runs of each side that failed a
     check (``correct`` false or ``failed`` above 0), then one line per
-    metric: each side's median [quartiles] and the pairs in which the
-    change is better."""
+    metric: each side's median [quartiles], the pairs in which the change
+    is better and the change's median over the parent's, less 1, in %
+    ("n/a" when the parent's median is 0)."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -94,9 +95,14 @@ def summary(runs: list, metrics: list) -> list:
             parent, change = zip(*both)
             sign = 1 if m["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in both)
+            base = statistics.median(parent)
+            relative = (
+                f"{statistics.median(change) / base - 1:+.2%}" if base else "n/a"
+            )
             out.append(
                 f"{workload} {name}: parent {_median_quartiles(parent)}, "
-                f"change {_median_quartiles(change)}, change better in {wins}/{len(both)}"
+                f"change {_median_quartiles(change)}, change better in "
+                f"{wins}/{len(both)}, median change {relative}"
             )
     return out
 

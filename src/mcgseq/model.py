@@ -313,9 +313,16 @@ def is_laminar(masks, full: int) -> bool:
 
 
 class LaminarFamily(Value):
-    """A sphere system in the holed sphere: a canonical multiset of blocks."""
+    """A sphere system in the holed sphere: a canonical multiset of blocks.
 
-    __slots__ = _fields = ("blocks",)
+    The ``_nonsep`` slot keeps the pair (manifold, result) once
+    ``_symmetric_nonsep_masks``, its one writer, has read the family on
+    that manifold; it is left unset until then and takes no part in
+    equality, hash, repr, pickling or copying.
+    """
+
+    _fields = ("blocks",)
+    __slots__ = _fields + ("_nonsep",)
 
     def __init__(self, blocks: tuple[frozenset, ...]):
         _set_blocks(self, blocks)
@@ -341,6 +348,7 @@ class LaminarFamily(Value):
 
 
 _set_blocks = LaminarFamily.blocks.__set__
+_set_nonsep = LaminarFamily._nonsep.__set__
 
 
 class Violation(Value):
@@ -598,17 +606,30 @@ def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
     return seen == summands and (not blocks or _handles_connect(manifold, blocks, ()))
 
 
-def _symmetric_nonsep_masks(manifold: PrimeDecomposition, blocks):
+def _symmetric_nonsep_masks(manifold: PrimeDecomposition, family: LaminarFamily):
     """A symmetric family's non-separating blocks, in order, each mapped to
     its mask, or None when the laminar family is not symmetric
     (``family_masks`` raises on one that is not laminar).  Its other blocks
     are the singletons {s(i)}, so these are the blocks with a bit at or
     above k; no two are equal, since a symmetric family has no parallel
-    blocks."""
+    blocks.
+
+    The result is kept in the family's ``_nonsep`` slot with the manifold,
+    and read back only on that same manifold object; a family that raises
+    keeps nothing."""
+    try:
+        memo = family._nonsep
+        if memo[0] is manifold:
+            return memo[1]
+    except AttributeError:  # not read yet
+        pass
+    blocks = family.blocks
     masks = family_masks(manifold, blocks)
-    if not _is_symmetric(manifold, masks):
-        return None
-    return {b: m for b, m in zip(blocks, masks) if m >> manifold.k}
+    nonsep = None
+    if _is_symmetric(manifold, masks):
+        nonsep = {b: m for b, m in zip(blocks, masks) if m >> manifold.k}
+    _set_nonsep(family, (manifold, nonsep))
+    return nonsep
 
 
 def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> SystemClass:
@@ -720,7 +741,7 @@ def allowable(
 ) -> bool:
     """True iff the assignment is allowable onto the (symmetric) family,
     that is iff ``_assignment_state`` decodes it."""
-    nonsep_masks = _symmetric_nonsep_masks(manifold, family.blocks)
+    nonsep_masks = _symmetric_nonsep_masks(manifold, family)
     if nonsep_masks is None:
         raise NotSymmetric("allowable assignments target symmetric systems only")
     return _assignment_state(manifold, nonsep_masks, assignment) is not None

@@ -73,11 +73,31 @@ log = logging.getLogger("mcgseq.systems")
 
 
 def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
-    """A letter's action on block masks as ``(slid, parity, swaps)``.
+    """A letter's ``_mask_action``; twists and auts are ``(0, 0, ())``.
+
+    A slide, spin or interchange keeps its action in its ``_compiled`` slot
+    with the manifold it was compiled on (this is the slot's one writer),
+    and a later call on that same manifold object reads it back.
+    """
+    try:
+        memo = letter._compiled
+        if memo[0] is manifold:
+            return memo[1]
+    except AttributeError:  # not compiled yet, or a twist or aut
+        if isinstance(letter, (w.Twist, w.Aut)):
+            return 0, 0, ()
+    compiled = _mask_action(manifold, letter)
+    object.__setattr__(letter, "_compiled", (manifold, compiled))
+    return compiled
+
+
+def _mask_action(manifold: PrimeDecomposition, letter) -> tuple:
+    """A slide, spin or interchange's action on block masks as ``(slid,
+    parity, swaps)``.
 
     A slide toggles ``slid`` in each block b with ``popcount(b & parity)``
     odd and has no swaps; spins and interchanges swap the bit pairs in
-    ``swaps``; twists and auts are ``(0, 0, ())``.
+    ``swaps``.
     """
     bits, pairs = manifold.label_bits, manifold.handle_masks
     if isinstance(letter, (w.SlideIrr, w.SlideEnd, w.SlideHandle)):
@@ -92,8 +112,6 @@ def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
             if lt[0] == "x":
                 parity ^= pairs[lt[1] - 1]
         return slid, parity, ()
-    if isinstance(letter, (w.Twist, w.Aut)):
-        return 0, 0, ()
     if isinstance(letter, w.Spin):
         j = letter.handle
         return 0, 0, ((bits[e_label(j, 1)], bits[e_label(j, -1)]),)
@@ -179,6 +197,9 @@ def act_system(
 # (``act_system`` on the standard system and ``trace_assignment``) read it.
 # ``_normalize`` never seeds it from its search key, so a replay always
 # folds the certificate's letters rather than reading the search's claim.
+# Those letters are the index's own moves, which ``_reachability`` compiled
+# once and which carry their compiled action (``_compile_letter``), so the
+# fold compiles only the swapIrr prefix, whose letters are new objects.
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,9 +379,9 @@ def normalize_system(
 
     Symmetry and the non-separating blocks with their masks are read off
     the family's masks (``model._symmetric_nonsep_masks``), with no
-    classification.
+    classification, once per family object and manifold.
     """
-    nonsep_masks = _symmetric_nonsep_masks(manifold, family.blocks)
+    nonsep_masks = _symmetric_nonsep_masks(manifold, family)
     if nonsep_masks is None:
         raise NotSymmetric("normalization target must be a symmetric system")
     return _normalize(manifold, nonsep_masks, assignment)

@@ -9,6 +9,15 @@ carries its eduction once ``sequence.is_discrepant`` or
 sphere system once ``systems._standard_fold``, the memo's one writer, has
 run it for ``act_system`` or ``trace_assignment``; every function here
 builds a new word, which starts with neither.
+
+A slide, spin or interchange letter carries its action on block masks in
+a ``_compiled`` slot, the pair (manifold, action), once
+``systems._compile_letter``, the memo's one writer, has compiled it; it is
+read back only on that same manifold object.  So the BFS moves of
+``systems._reachability`` arrive compiled in every certificate built from
+them: a replay still folds the certificate's own letters, but compiles
+only its swapIrr prefix, whose letters are new.  Like a word's memos, it
+takes no part in equality, hash, repr, pickling or copying.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ class SlideIrr(Value):
     """Slide of the one-holed summand i along a closed path."""
 
     # path: FPWord; must avoid factor G_i letters
-    __slots__ = _fields = ("summand", "path")
+    _fields = ("summand", "path")
+    __slots__ = _fields + ("_compiled",)
 
     def __init__(self, summand: int, path: tuple):
         _set_slide_irr_summand(self, summand)
@@ -45,7 +55,8 @@ class SlideEnd(Value):
     """Slide of one end e(j, sign) of a non-separating sphere."""
 
     # sign: +1 or -1; path: FPWord; must avoid x_j letters
-    __slots__ = _fields = ("handle", "sign", "path")
+    _fields = ("handle", "sign", "path")
+    __slots__ = _fields + ("_compiled",)
 
     def __init__(self, handle: int, sign: int, path: tuple):
         _set_slide_end_handle(self, handle)
@@ -69,7 +80,8 @@ class SlideHandle(Value):
     """Slide of the capped holed S^2 x S^1 summand cut off by C(S_j)."""
 
     # path: FPWord; must avoid x_j letters
-    __slots__ = _fields = ("handle", "path")
+    _fields = ("handle", "path")
+    __slots__ = _fields + ("_compiled",)
 
     def __init__(self, handle: int, path: tuple):
         _set_slide_handle_handle(self, handle)
@@ -87,7 +99,8 @@ class SlideHandle(Value):
 class Spin(Value):
     """Half Dehn twist on the separating sphere associated to handle j."""
 
-    __slots__ = _fields = ("handle",)
+    _fields = ("handle",)
+    __slots__ = _fields + ("_compiled",)
 
     def __init__(self, handle: int):
         _set_spin_handle(self, handle)
@@ -121,7 +134,8 @@ class Twist(Value):
 class SwapHandles(Value):
     """Interchanging slide of two S^2 x S^1 summands (a < b)."""
 
-    __slots__ = _fields = ("a", "b")
+    _fields = ("a", "b")
+    __slots__ = _fields + ("_compiled",)
 
     def __init__(self, a: int, b: int):
         _set_swap_handles_a(self, a)
@@ -139,7 +153,8 @@ class SwapHandles(Value):
 class SwapIrr(Value):
     """Interchanging slide of two homeomorphic irreducible summands (a < b)."""
 
-    __slots__ = _fields = ("a", "b")
+    _fields = ("a", "b")
+    __slots__ = _fields + ("_compiled",)
 
     def __init__(self, a: int, b: int):
         _set_swap_irr_a(self, a)

@@ -109,8 +109,14 @@ def test_exact_sequence_round_passes():
 
 
 def test_bench_pairs_summary():
+    # the relative change of the medians reads the same way for a metric
+    # that is better higher, and is "n/a" when the parent's median is 0
     def run(seed, side, value, correct=True, failed=0):
-        metrics = {"op_p50_ms": {"value": value, "unit": "ms"}}
+        metrics = {
+            "op_p50_ms": {"value": value, "unit": "ms"},
+            "ops_per_s": {"value": 1000 / value, "unit": "1/s"},
+            "zero": {"value": float(side == "change"), "unit": "count"},
+        }
         return {"workload": "census", "seed": seed, "side": side,
                 "result": {"correct": correct, "failed": failed, "metrics": metrics}}
 
@@ -121,10 +127,21 @@ def test_bench_pairs_summary():
         run(4, "change", 2.0), run(4, "parent", 5.0),
     ]
     lines = load_script("bench_pairs").summary(
-        runs, [{"name": "op_p50_ms", "better": "lower"}, {"name": "absent"}]
+        runs,
+        [
+            {"name": "op_p50_ms", "better": "lower"},
+            {"name": "ops_per_s", "better": "higher"},
+            {"name": "zero", "better": "lower"},
+            {"name": "absent"},
+        ],
     )
     assert lines == [
         "census: runs with correct false or failed > 0: parent 1/4, change 1/4",
         "census op_p50_ms: parent 3.5 [2.25, 4.75], change 1.75 [1.125, 4.25], "
-        "change better in 3/4",
+        "change better in 3/4, median change -50.00%",
+        # medians (250 + 333.3) / 2 and (500 + 666.7) / 2: +100%
+        "census ops_per_s: parent 291.667 [212.5, 458.333], "
+        "change 583.333 [275, 916.667], change better in 3/4, median change +100.00%",
+        "census zero: parent 0 [0, 0], change 1 [1, 1], change better in 0/4, "
+        "median change n/a",
     ]

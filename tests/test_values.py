@@ -4,7 +4,10 @@ Each of the 30 classes, ``Word`` and the 29 that were frozen dataclasses,
 is checked against a ``dataclasses.make_dataclass`` reference with the
 same fields and defaults: repr, equality only within one class, hash,
 refusal to set or delete, pickle and copy round trips, and positional,
-keyword and default construction.  The package itself does not import
+keyword and default construction.  Values whose memo slots are filled
+(compiled letters, a family read by ``normalize_system``, a folded and
+educed word) compare, hash and print as fresh ones, and their copies start
+with empty memos.  The package itself does not import
 ``dataclasses``: a fresh interpreter that imports the CLI loads neither it
 nor ``inspect``.
 """
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from mcgseq import fpgroup, model, oracles, sequence, words as w
+from mcgseq import fpgroup, model, oracles, sequence, systems, words as w
 from mcgseq.textio import parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -186,6 +189,49 @@ class TestDataclassConformance:
         assert type(twin) is cls
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+UNSET = object()  # a memo slot left unset until it is filled
+
+
+def _filled(m):
+    """Values whose memo slots are filled, each with its memo slots mapped
+    to their values in a fresh value."""
+    word = parse_word(m, "slideIrr(1; x1) slideEnd(2,+; x1) slideHandle(2; x1) spin(1)")
+    letters = word.letters + (w.SwapHandles(1, 2), w.SwapIrr(1, 2))
+    for letter in letters:
+        systems._compile_letter(m, letter)
+    systems.trace_assignment(m, word)
+    sequence.is_discrepant(word)
+    moved = parse_word(m, "spin(1) slideEnd(2,+; x1)")
+    family = systems.act_system(m, moved, model.standard_system(m))
+    systems.normalize_system(m, family, systems.trace_assignment(m, moved))
+    filled = [(letter, {"_compiled": UNSET}) for letter in letters]
+    filled.append((family, {"_nonsep": UNSET}))
+    filled.append((word, {"_fold": UNSET, "_image": None}))
+    for value, memos in filled:
+        for name, empty in memos.items():
+            assert getattr(value, name, UNSET) is not empty, (value, name)
+    return filled
+
+
+FILLED = ["SlideIrr", "SlideEnd", "SlideHandle", "Spin", "SwapHandles", "SwapIrr",
+          "LaminarFamily", "Word"]
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+                                   copy.copy], ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("n", range(len(FILLED)), ids=FILLED)
+def test_filled_memos_are_not_part_of_the_value(mstar, n, clone):
+    value, memos = _filled(mstar)[n]
+    assert type(value).__name__ == FILLED[n]
+    fresh = type(value)(*[getattr(value, name) for name in value._fields])
+    assert value == fresh and fresh == value and hash(value) == hash(fresh)
+    assert repr(value) == repr(fresh)
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    assert {name: getattr(twin, name, UNSET) for name in memos} == memos
 
 
 def test_letters_of_two_classes_differ():
