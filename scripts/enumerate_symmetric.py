@@ -20,7 +20,7 @@ from pathlib import Path
 
 from mcgseq import textio
 from mcgseq.errors import Unreachable
-from mcgseq.systems import _normalize, _reachability
+from mcgseq.systems import _reachability, normalize_system
 from mcgseq.verify import allowable_assignments, enumerate_symmetric
 
 DEFAULT_MANIFOLD = Path(__file__).resolve().parent.parent / "fixtures" / "mstar.txt"
@@ -58,15 +58,14 @@ def main(argv=None) -> int:
     per_family = collections.Counter()
     lengths = collections.Counter()
     total = unreachable = 0
-    for _fam, nonsep in symmetric:
-        nonsep_masks = {b: manifold.mask_of(b) for b in nonsep}
+    for fam, nonsep in symmetric:
         n = 0
         for assignment in allowable_assignments(manifold, nonsep):
             n += 1
             if not args.lengths:
                 continue
             try:
-                word = _normalize(manifold, nonsep_masks, assignment)
+                word = normalize_system(manifold, fam, assignment)
             except Unreachable:
                 unreachable += 1
                 continue

@@ -161,15 +161,15 @@ class PrimeDecomposition(Value):
 
     A label is a bit in ``labels()`` order and a block is an ``int`` mask
     over those bits.  The label order, the masks of L, of each handle's two
-    ends and of the e(j,+) ends, the standard system's blocks, the summand
-    targets (for each summand i, the singletons {s(p)} of its type, each
-    with its p), the duplicate tokens and the hash are derived once, here:
-    hashing the fields would rehash every nested summand type on each call.
-    ``block_of`` memoizes its frozensets in a dict keyed by the mask's part
-    inside L, so it holds at most one entry per subset of L; it starts with
-    the standard blocks, so it returns those same objects.  The
-    ``_identity_image`` slot keeps the identity of H(V) once
-    ``sequence.identity_image`` has built it (None until then).
+    ends and of the e(j,+) ends, the standard system's slot masks and
+    blocks, the summand targets (for each summand i, the singletons {s(p)}
+    of its type, each with its p), the duplicate tokens and the hash are
+    derived once, here: hashing the fields would rehash every nested
+    summand type on each call.  ``block_of`` memoizes its frozensets in a
+    dict keyed by the mask's part inside L, so it holds at most one entry
+    per subset of L; it starts with the standard blocks, so it returns
+    those same objects.  The ``_identity_image`` slot keeps the identity of
+    H(V) once ``sequence.identity_image`` has built it (None until then).
     """
 
     _fields = ("summands", "handles")
@@ -179,6 +179,7 @@ class PrimeDecomposition(Value):
         "full_mask",
         "handle_masks",
         "plus_ends",
+        "standard_slots",
         "standard_blocks",
         "summand_targets",
         "duplicate_tokens",
@@ -213,6 +214,7 @@ class PrimeDecomposition(Value):
             "full_mask": (1 << len(labels)) - 1,
             "handle_masks": tuple(3 << (k + 2 * j) for j in range(self.handles)),
             "plus_ends": sum(slots[k:]),
+            "standard_slots": tuple(slots),
             "standard_blocks": tuple(standard.values()),
             "summand_targets": tuple(map(by_type.__getitem__, self.summands)),
             # the duplicate tokens an assignment maps (see Assignment)
@@ -325,15 +327,7 @@ class LaminarFamily(Value):
     __slots__ = _fields + ("_nonsep",)
 
     def __init__(self, blocks: tuple[frozenset, ...]):
-        _set_blocks(self, blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.blocks,))
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[Label]]) -> "LaminarFamily":
@@ -347,7 +341,6 @@ class LaminarFamily(Value):
         return len(self.blocks)
 
 
-_set_blocks = LaminarFamily.blocks.__set__
 _set_nonsep = LaminarFamily._nonsep.__set__
 
 
@@ -682,14 +675,6 @@ class Assignment(Value):
 
     def __init__(self, entries: tuple[tuple[tuple, tuple], ...]):
         _set_entries(self, entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
 
     @classmethod
     def of(cls, mapping: dict) -> "Assignment":

@@ -30,14 +30,6 @@ class EductionImage(Value):
         _set_perm(self, perm)
         _set_tokens(self, tokens)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.perm, self.tokens) == (other.perm, other.tokens)
-
-    def __hash__(self):
-        return hash((self.perm, self.tokens))
-
     def perm_of(self, i: int) -> int:
         return self.perm[i - 1]
 

@@ -33,6 +33,7 @@ codec, which ``trace_assignment`` also uses to encode its result.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 
 from .errors import (
@@ -169,8 +170,8 @@ def act_system(
     """Fold the word's letters left-to-right over the family.
 
     On the standard system, whose blocks are the manifold's
-    ``standard_blocks`` and whose masks are ``_standard_slots``, this is the
-    word's ``_standard_fold``, with no ``family_masks``.
+    ``standard_blocks`` and whose masks are its ``standard_slots``, this is
+    the word's ``_standard_fold``, with no ``family_masks``.
     """
     if word.manifold != manifold:
         raise InvalidWord("word belongs to a different manifold")
@@ -197,19 +198,14 @@ def act_system(
 # (``act_system`` on the standard system and ``trace_assignment``) read it.
 # ``_normalize`` never seeds it from its search key, so a replay always
 # folds the certificate's letters rather than reading the search's claim.
-# Those letters are the index's own moves, which ``_reachability`` compiled
-# once and which carry their compiled action (``_compile_letter``), so the
-# fold compiles only the swapIrr prefix, whose letters are new objects.
-
-
-@functools.lru_cache(maxsize=None)
-def _standard_slots(manifold: PrimeDecomposition) -> tuple[int, ...]:
-    return tuple(map(manifold.mask_of, manifold.standard_blocks))
+# Those letters are the index's own moves and swapIrr letters, which
+# ``_reachability`` compiled once and which carry their compiled action
+# (``_compile_letter``), so the fold compiles none of them.
 
 
 def _fold_state(manifold: PrimeDecomposition, letters):
     """Fold letters over (slot masks, spin bits); bits[j-1] flips on spin(j)."""
-    slots = _standard_slots(manifold)
+    slots = manifold.standard_slots
     bits = [False] * manifold.ell
     for letter in letters:
         if isinstance(letter, w.Spin):
@@ -279,8 +275,10 @@ def _bfs_moves(manifold: PrimeDecomposition) -> list:
 class _Index:
     """The normalization BFS index; ``len`` is the number of states.
 
-    ``moves`` holds the BFS moves in canonical order, and ``ids`` maps each
-    reachable tuple of handle-slot masks to its id, in discovery order.  A
+    ``moves`` holds the BFS moves in canonical order, ``swaps`` maps each
+    pair (a, b), a < b, of summands of one type to the swapIrr letter that
+    certificate prefixes use, and ``ids`` maps each reachable tuple of
+    handle-slot masks to its id, in discovery order.  A
     state is the key ``id << l | bits``, where bit j-1 of ``bits`` is set
     when the duplicates of handle j are spun.  ``parent`` maps each key, in
     discovery order, to ``parent key * len(moves) + move number``; the
@@ -289,10 +287,10 @@ class _Index:
     entries for rejected slides.
     """
 
-    __slots__ = ("moves", "ids", "parent")
+    __slots__ = ("moves", "swaps", "ids", "parent")
 
-    def __init__(self, moves: tuple, ids: dict, parent: dict):
-        self.moves, self.ids, self.parent = moves, ids, parent
+    def __init__(self, moves: tuple, swaps: dict, ids: dict, parent: dict):
+        self.moves, self.swaps, self.ids, self.parent = moves, swaps, ids, parent
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -315,8 +313,14 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     them out.
     """
     full, k, ell = manifold.full_mask, manifold.k, manifold.ell
-    # validated once, here, so certificates built from them need no check
+    # validated and compiled once, here, so certificates built from them
+    # need no check and their replays compile nothing
     moves = w.Word.of(manifold, _bfs_moves(manifold)).letters
+    pairs = [p for c in manifold.type_classes() for p in itertools.combinations(c, 2)]
+    letters = w.Word.of(manifold, [w.SwapIrr(a, b) for a, b in pairs]).letters
+    swaps = dict(zip(pairs, letters))
+    for letter in swaps.values():
+        _compile_letter(manifold, letter)
     # crossing parity reads only the parity of a path's x letters, so
     # slides along x_j and x_j^-1 share an action
     groups = {}  # action -> its move numbers
@@ -325,7 +329,7 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
                   1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0)
         groups.setdefault(action, []).append(n)
     actions = [(letter, flip, ns[0], len(ns)) for (letter, flip), ns in groups.items()]
-    start = _standard_slots(manifold)[k:]
+    start = manifold.standard_slots[k:]
     ids = {start: 0}
     tuples = [start]  # the keys of ids, by id
     rows = []  # by id: target, move number, target, move number, ...
@@ -367,7 +371,7 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
         len(parent) * width - rejected,
         rejected,
     )
-    return _Index(moves, ids, parent)
+    return _Index(moves, swaps, ids, parent)
 
 
 def normalize_system(
@@ -402,12 +406,11 @@ def _normalize(
     if state is None:
         raise NotAllowable("assignment is not allowable onto the target family")
     perm, slots, bits = state
-    prefix = tuple(w.SwapIrr(a, b) for a, b in perm_transpositions(perm))
-    for letter in prefix:
-        w.check_letter(manifold, letter)
     # swapIrr letters do not touch handle labels or spin bits, so the search
-    # index from the plain standard state answers every query
+    # index from the plain standard state answers every query; a perm maps
+    # each summand into its type, so the index holds each transposition
     index = _reachability(manifold)
+    prefix = tuple(map(index.swaps.__getitem__, perm_transpositions(perm)))
     tid = index.ids.get(slots)
     key = None if tid is None else tid << manifold.ell | bits
     if key not in index.parent:
@@ -422,7 +425,7 @@ def _normalize(
         path.append(index.moves[n])
         link = index.parent[key]
     path.reverse()
-    # the moves were validated when the index was built
+    # the moves and swaps were validated when the index was built
     return w.Word(manifold, prefix + tuple(path))
 
 

@@ -5,14 +5,23 @@ A value class names its fields, its constructor's parameters in order, in
 behaves as a frozen dataclass of those fields would, without the cost of
 building one: importing ``dataclasses`` also loads ``inspect`` and ``ast``,
 and each dataclass compiles its methods from source at import.
+
+Equality and hash are derived from ``_fields`` once per class, when it is
+defined, so no class writes its own.  Constructors write their fields with
+``object.__setattr__``, except the three built on hot paths, which bind
+their slot descriptors' setters once: ``words.Word`` (about 1,600 per
+exact-sequence operation), ``sequence.EductionImage`` (182 per operation)
+and ``model.Assignment`` (5,184 per census set-up).
 """
+
+from operator import attrgetter
 
 
 class Value:
     """An immutable value of the fields named in ``_fields``.
 
-    Equality holds only between instances of one class whose fields' tuples
-    are equal (``NotImplemented`` against any other class), the hash is that
+    Equality holds only between instances of one class whose fields are
+    equal (``NotImplemented`` against any other class), the hash is that
     of the fields' tuple, and the repr is the dataclass repr, so every
     comparison, hash order and printed form is the frozen dataclass's.
     Setting or deleting an attribute raises AttributeError: ``__init__``
@@ -20,26 +29,36 @@ class Value:
     ``object.__setattr__``.  Pickling and copying rebuild the value from
     its fields through ``__init__``, which checks them again and starts
     with no memo.
-
-    The generic ``__eq__`` and ``__hash__`` here read the fields by name; a
-    class compared or hashed on a hot path defines both on an explicit
-    tuple of its fields instead.
     """
 
     __slots__ = ()
     _fields: tuple = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        """Derive ``_key``, ``__eq__`` and ``__hash__`` (unless the class
+        defines one) from the class's own ``_fields``, if it names any."""
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if not fields:
+            return
+        key = attrgetter(*fields)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # the shortcut agrees: a tuple compares its items by identity first
-        return self is other or self._values() == other._values()
+        def equal(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return self is other or key(self) == key(other)
 
-    def __hash__(self):
-        return hash(self._values())
+        if len(fields) == 1:
+            def hashed(self):
+                return hash((key(self),))
+        else:
+            def hashed(self):
+                return hash(key(self))
+
+        cls._key = key
+        cls.__eq__ = equal
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = hashed
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -56,4 +75,5 @@ class Value:
         )
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        values = self._key(self)
+        return self.__class__, values if len(self._fields) > 1 else (values,)

@@ -424,12 +424,11 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
     assignments = 0
     unreachable = 0
     for fam, nonsep in symmetric:
-        nonsep_masks = {b: manifold.mask_of(b) for b in nonsep}
         for assignment in allowable_assignments(manifold, nonsep):
             assignments += 1
             mirror = _mirror_parity(manifold, assignment)
             try:
-                word = systems._normalize(manifold, nonsep_masks, assignment)
+                word = systems.normalize_system(manifold, fam, assignment)
             except Exception as exc:  # Unreachable or any defect
                 unreachable += 1
                 if not (mirror and isinstance(exc, Unreachable)):

@@ -13,11 +13,11 @@ builds a new word, which starts with neither.
 A slide, spin or interchange letter carries its action on block masks in
 a ``_compiled`` slot, the pair (manifold, action), once
 ``systems._compile_letter``, the memo's one writer, has compiled it; it is
-read back only on that same manifold object.  So the BFS moves of
-``systems._reachability`` arrive compiled in every certificate built from
-them: a replay still folds the certificate's own letters, but compiles
-only its swapIrr prefix, whose letters are new.  Like a word's memos, it
-takes no part in equality, hash, repr, pickling or copying.
+read back only on that same manifold object.  So the BFS moves and
+swapIrr letters of ``systems._reachability`` arrive compiled in every
+certificate built from them: a replay still folds the certificate's own
+letters, but compiles none of them.  Like a word's memos, it takes no part
+in equality, hash, repr, pickling or copying.
 """
 
 from __future__ import annotations
@@ -39,16 +39,8 @@ class SlideIrr(Value):
     __slots__ = _fields + ("_compiled",)
 
     def __init__(self, summand: int, path: tuple):
-        _set_slide_irr_summand(self, summand)
-        _set_slide_irr_path(self, path)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.summand, self.path) == (other.summand, other.path)
-
-    def __hash__(self):
-        return hash((self.summand, self.path))
+        object.__setattr__(self, "summand", summand)
+        object.__setattr__(self, "path", path)
 
 
 class SlideEnd(Value):
@@ -59,21 +51,9 @@ class SlideEnd(Value):
     __slots__ = _fields + ("_compiled",)
 
     def __init__(self, handle: int, sign: int, path: tuple):
-        _set_slide_end_handle(self, handle)
-        _set_slide_end_sign(self, sign)
-        _set_slide_end_path(self, path)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.handle, self.sign, self.path) == (
-            other.handle,
-            other.sign,
-            other.path,
-        )
-
-    def __hash__(self):
-        return hash((self.handle, self.sign, self.path))
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "path", path)
 
 
 class SlideHandle(Value):
@@ -84,16 +64,8 @@ class SlideHandle(Value):
     __slots__ = _fields + ("_compiled",)
 
     def __init__(self, handle: int, path: tuple):
-        _set_slide_handle_handle(self, handle)
-        _set_slide_handle_path(self, path)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.handle, self.path) == (other.handle, other.path)
-
-    def __hash__(self):
-        return hash((self.handle, self.path))
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "path", path)
 
 
 class Spin(Value):
@@ -103,15 +75,7 @@ class Spin(Value):
     __slots__ = _fields + ("_compiled",)
 
     def __init__(self, handle: int):
-        _set_spin_handle(self, handle)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.handle == other.handle
-
-    def __hash__(self):
-        return hash((self.handle,))
+        object.__setattr__(self, "handle", handle)
 
 
 class Twist(Value):
@@ -120,15 +84,7 @@ class Twist(Value):
     __slots__ = _fields = ("ref",)
 
     def __init__(self, ref: tuple):
-        _set_twist_ref(self, ref)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ref == other.ref
-
-    def __hash__(self):
-        return hash((self.ref,))
+        object.__setattr__(self, "ref", ref)
 
 
 class SwapHandles(Value):
@@ -138,16 +94,8 @@ class SwapHandles(Value):
     __slots__ = _fields + ("_compiled",)
 
     def __init__(self, a: int, b: int):
-        _set_swap_handles_a(self, a)
-        _set_swap_handles_b(self, b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 class SwapIrr(Value):
@@ -157,16 +105,8 @@ class SwapIrr(Value):
     __slots__ = _fields + ("_compiled",)
 
     def __init__(self, a: int, b: int):
-        _set_swap_irr_a(self, a)
-        _set_swap_irr_b(self, b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 class Aut(Value):
@@ -175,34 +115,9 @@ class Aut(Value):
     __slots__ = _fields = ("summand", "token")  # token: mcg oracle element
 
     def __init__(self, summand: int, token):
-        _set_aut_summand(self, summand)
-        _set_aut_token(self, token)
+        object.__setattr__(self, "summand", summand)
+        object.__setattr__(self, "token", token)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.summand, self.token) == (other.summand, other.token)
-
-    def __hash__(self):
-        return hash((self.summand, self.token))
-
-
-# the letters' constructors write through their slot descriptors
-_set_slide_irr_summand = SlideIrr.summand.__set__
-_set_slide_irr_path = SlideIrr.path.__set__
-_set_slide_end_handle = SlideEnd.handle.__set__
-_set_slide_end_sign = SlideEnd.sign.__set__
-_set_slide_end_path = SlideEnd.path.__set__
-_set_slide_handle_handle = SlideHandle.handle.__set__
-_set_slide_handle_path = SlideHandle.path.__set__
-_set_spin_handle = Spin.handle.__set__
-_set_twist_ref = Twist.ref.__set__
-_set_swap_handles_a = SwapHandles.a.__set__
-_set_swap_handles_b = SwapHandles.b.__set__
-_set_swap_irr_a = SwapIrr.a.__set__
-_set_swap_irr_b = SwapIrr.b.__set__
-_set_aut_summand = Aut.summand.__set__
-_set_aut_token = Aut.token.__set__
 
 _SLIDES = (SlideIrr, SlideEnd, SlideHandle)
 DISCREPANT_KINDS = _SLIDES + (Spin, Twist, SwapHandles)
@@ -287,14 +202,6 @@ class Word(Value):
         _set_manifold(self, manifold)
         _set_letters(self, letters)
         _set_image(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.manifold, self.letters) == (other.manifold, other.letters)
-
-    def __hash__(self):
-        return hash((self.manifold, self.letters))
 
     @classmethod
     def of(cls, manifold: PrimeDecomposition, letters) -> "Word":

@@ -1,7 +1,7 @@
 """The helper scripts in ``scripts/`` import private package names
-(``systems._normalize``, ``systems._reachability``): run each one on the
-mstar fixture (and ``run_suites.py`` also on a single-handle manifold) in a
-subprocess and check its exit code and key lines.  ``bench_pairs.py`` is
+(``systems._reachability``): run each one on the mstar fixture (and
+``run_suites.py`` also on a single-handle manifold) in a subprocess and
+check its exit code and key lines.  ``bench_pairs.py`` is
 loaded as a module, with its subprocess call replaced."""
 
 import os

@@ -341,7 +341,7 @@ def _reference_reachability(manifold):
 def _decode_index(manifold, index):
     """The interned index as state -> (parent state, move letter), states
     as (slot masks, spin bits) tuples, in discovery order."""
-    summands = systems._standard_slots(manifold)[: manifold.k]
+    summands = manifold.standard_slots[: manifold.k]
     tuples = list(index.ids)
     ell = manifold.ell
 
@@ -863,8 +863,8 @@ class TestStandardFoldMemo:
     def test_standard_family_masks_are_the_standard_slots(self, named_manifold):
         m = named_manifold
         masks = model.family_masks(m, standard_system(m).blocks)
-        assert masks == systems._standard_slots(m)
-        assert systems._standard_slots(m) is systems._standard_slots(m)
+        assert masks == m.standard_slots
+        assert m.standard_slots is m.standard_slots
 
     @pytest.mark.parametrize("named_manifold", STANDARD_SHORTCUT_CASES, indirect=True)
     def test_standard_shortcut_matches_the_letter_fold(self, named_manifold, monkeypatch):
@@ -1002,14 +1002,14 @@ class TestDerivedMemos:
             assert family._nonsep == (mstar, None)
 
     def test_census_replay_compiles_nothing(self, mstar, monkeypatch):
-        """Each certificate is built from the index's moves, which the
-        search compiled; the replay compiles only the swapIrr prefix, whose
-        letters are new objects."""
+        """Each certificate is built from the index's moves and swapIrr
+        letters, which the search compiled, so the replay compiles none."""
         # a cache of this test only, so the index is built on this manifold object
         reachability = functools.lru_cache(maxsize=None)(systems._reachability.__wrapped__)
         monkeypatch.setattr(systems, "_reachability", reachability)
         index = reachability(mstar)
         assert all(move._compiled[0] is mstar for move in index.moves)
+        assert all(swap._compiled[0] is mstar for swap in index.swaps.values())
         cases = [
             (family, assignment)
             for family, nonsep in enumerate_symmetric(mstar)[0]
@@ -1031,7 +1031,7 @@ class TestDerivedMemos:
             assert trace_assignment(mstar, word) == assignment
             prefixes += sum(type(letter) is w.SwapIrr for letter in word.letters)
         assert len(cases) == 5184
-        assert compiled == {"swapIrr": prefixes, "other": 0}
+        assert compiled == {"swapIrr": 0, "other": 0}
         assert prefixes > 0
 
 

@@ -4,26 +4,31 @@ Each of the 30 classes, ``Word`` and the 29 that were frozen dataclasses,
 is checked against a ``dataclasses.make_dataclass`` reference with the
 same fields and defaults: repr, equality only within one class, hash,
 refusal to set or delete, pickle and copy round trips, and positional,
-keyword and default construction.  Values whose memo slots are filled
-(compiled letters, a family read by ``normalize_system``, a folded and
-educed word) compare, hash and print as fresh ones, and their copies start
-with empty memos.  The package itself does not import
-``dataclasses``: a fresh interpreter that imports the CLI loads neither it
-nor ``inspect``.
+keyword and default construction, with a missing or unexpected argument
+refused.  Every value class the package defines is among them.  Values
+whose memo slots are filled (compiled letters, a family read by
+``normalize_system``, a folded and educed word) compare, hash and print as
+fresh ones, and their copies start with empty memos.  The package itself
+does not import ``dataclasses``: a fresh interpreter that imports the CLI
+loads neither it nor ``inspect`` nor ``ast``.
 """
 
 import copy
 import dataclasses
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mcgseq
 from mcgseq import fpgroup, model, oracles, sequence, systems, words as w
 from mcgseq.textio import parse_word
+from mcgseq.values import Value
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +129,21 @@ NAMES = [
 ]
 
 
+def test_every_value_class_is_checked():
+    """Each ``Value`` subclass that names fields, in any module of the
+    package, is in ``NAMES``, so no value class skips the suite below."""
+    for info in pkgutil.iter_modules(mcgseq.__path__):
+        if info.name != "__main__":  # running it runs the CLI
+            importlib.import_module(f"mcgseq.{info.name}")
+    named, stack = set(), [Value]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls._fields:
+                named.add(cls.__name__)
+    assert named and named <= set(NAMES), sorted(named - set(NAMES))
+
+
 @pytest.fixture(scope="module")
 def cases(mstar):
     built = _cases(mstar)
@@ -155,6 +175,16 @@ class TestDataclassConformance:
         if defaults:
             assert cls(*required) == cls(*required, *defaults.values())
             assert repr(cls(*required)) == repr(_reference(cls, fields, defaults)(*required))
+
+    def test_missing_or_unexpected_argument_is_refused(self, cases, name):
+        cls, fields, _, defaults = cases[name]
+        first = next(field for field in fields if field not in defaults)
+        missing = {k: v for k, v in fields.items() if k != first}
+        for make in (cls, _reference(cls, fields, defaults)):
+            with pytest.raises(TypeError):
+                make(**missing)
+            with pytest.raises(TypeError):
+                make(**fields, other=None)
 
     def test_equality_within_one_class(self, cases, name):
         cls, fields, changed, defaults = cases[name]
@@ -249,7 +279,7 @@ def test_cli_import_loads_no_dataclasses():
     )
     code = (
         "import sys, mcgseq.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & sys.modules.keys()))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
