@@ -200,43 +200,6 @@ class AutTable(Value):
         except (KeyError, TypeError):
             raise KeyError(key) from None
 
-    def apply(self, u: FPWord) -> FPWord:
-        m = self.manifold
-        table = self._image_by_key
-        out: list = []
-        for lt in u:
-            if lt[0] == "g":
-                _, i, elem = lt
-                oracle = m.type_of(i).pi1
-                for gen_name, sign in oracle.express(elem):
-                    img = table[("g", i, gen_name)]
-                    if sign < 0:
-                        img = fp_inv(m, img)
-                    out.extend(img)
-            else:
-                _, j, sign = lt
-                img = table[("x", j)]
-                if sign < 0:
-                    img = fp_inv(m, img)
-                out.extend(img)
-        return fp_reduce(m, out)
-
-    def then(self, other: "AutTable") -> "AutTable":
-        return AutTable(
-            self.manifold,
-            tuple((k, other.apply(img)) for k, img in self.images),
-        )
-
-    def is_identity(self) -> bool:
-        for key, img in self.images:
-            if key[0] == "g":
-                expected = (("g", key[1], self.manifold.type_of(key[1]).pi1.generator(key[2])),)
-            else:
-                expected = (("x", key[1], 1),)
-            if img != fp_reduce(self.manifold, expected):
-                return False
-        return True
-
 
 def aut_of_word(manifold: PrimeDecomposition, word) -> AutTable:
     images = []

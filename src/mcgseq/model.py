@@ -163,9 +163,11 @@ class PrimeDecomposition(Value):
     over those bits.  The label order, the masks of L, of each handle's two
     ends and of the e(j,+) ends, the standard system's slot masks and
     blocks, the summand targets (for each summand i, the singletons {s(p)}
-    of its type, each with its p), the duplicate tokens and the hash are
-    derived once, here: hashing the fields would rehash every nested
-    summand type on each call.  ``block_of`` memoizes its frozensets in a
+    of its type, each with its p), the type classes (summand indices
+    grouped by type, in index order), the swap pairs (the pairs a < b in
+    one class, sorted), the duplicate tokens and the hash are derived
+    once, here: hashing the fields would rehash every nested summand type
+    on each call.  ``block_of`` memoizes its frozensets in a
     dict keyed by the mask's part inside L, so it holds at most one entry
     per subset of L; it starts with the standard blocks, so it returns
     those same objects.  The ``_identity_image`` slot keeps the identity of
@@ -182,6 +184,8 @@ class PrimeDecomposition(Value):
         "standard_slots",
         "standard_blocks",
         "summand_targets",
+        "type_classes",
+        "swap_pairs",
         "duplicate_tokens",
         "_blocks",
         "_hash",
@@ -208,6 +212,7 @@ class PrimeDecomposition(Value):
         by_type = {}  # one dict per summand type, shared by its summands
         for n, t in enumerate(self.summands):
             by_type.setdefault(t, {})[standard[1 << n]] = n + 1
+        classes = tuple(tuple(members.values()) for members in by_type.values())
         derived = {
             "_labels": tuple(labels),
             "label_bits": {lab: 1 << n for n, lab in enumerate(labels)},
@@ -217,6 +222,10 @@ class PrimeDecomposition(Value):
             "standard_slots": tuple(slots),
             "standard_blocks": tuple(standard.values()),
             "summand_targets": tuple(map(by_type.__getitem__, self.summands)),
+            "type_classes": classes,
+            "swap_pairs": tuple(sorted(
+                (a, b) for c in classes for n, a in enumerate(c) for b in c[n + 1 :]
+            )),
             # the duplicate tokens an assignment maps (see Assignment)
             "duplicate_tokens": frozenset(
                 [("d", i) for i in range(1, k + 1)]
@@ -265,19 +274,6 @@ class PrimeDecomposition(Value):
                 lab for lab, bit in self.label_bits.items() if mask & bit
             )
         return block
-
-    def type_classes(self) -> list[list[int]]:
-        """Summand indices grouped by shared HomeoType, in index order."""
-        classes: list[tuple[HomeoType, list[int]]] = []
-        for i in range(1, self.k + 1):
-            t = self.type_of(i)
-            for ct, members in classes:
-                if ct == t:
-                    members.append(i)
-                    break
-            else:
-                classes.append((t, [i]))
-        return [members for _, members in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +521,18 @@ class SystemClass(Value):
         object.__setattr__(self, "nonsep_blocks", nonsep_blocks)
 
 
-def _handles_connect(manifold: PrimeDecomposition, masks, summand_masks) -> bool:
+def _handles_connect(manifold: PrimeDecomposition, blocks) -> bool:
     """Cutting on every block and regluing e(j,+)~e(j,-) leaves the
     non-summand chambers connected, each handle joining two of them.
 
-    No handle end lies in a summand block, since those are the singletons
-    {s(i)}, so only the other blocks are searched.  A handle end's chamber
+    ``blocks`` are the family's masks without its summand blocks: no
+    handle end lies in those, the singletons {s(i)}, so only the other
+    blocks are searched.  A handle end's chamber
     is its innermost block, the latest among equals, found with a plain
     loop: the blocks of a laminar family that hold a label are nested, so
     the smallest is the least mask.  A union-find over the chambers, the
     root chamber last, counts the pieces left.
     """
-    blocks = [m for m in masks if m not in summand_masks]
     root_chamber = len(blocks)
     root = list(range(root_chamber + 1))
     pieces = root_chamber + 1
@@ -595,8 +591,7 @@ def _is_symmetric(manifold: PrimeDecomposition, masks) -> bool:
             blocks.append(m)
         else:
             return False
-    # the singletons are left out of blocks already
-    return seen == summands and (not blocks or _handles_connect(manifold, blocks, ()))
+    return seen == summands and (not blocks or _handles_connect(manifold, blocks))
 
 
 def _symmetric_nonsep_masks(manifold: PrimeDecomposition, family: LaminarFamily):

@@ -24,16 +24,16 @@ search index (``_Index``) interns each reachable tuple of handle-slot masks
 as an integer id, tries each distinct move action on it once, and keys each
 state by the integer ``id << l | bits``; the summand slots never move and
 are left out.  A query decides symmetry on the family's masks, with no
-classification, and the search moves are validated once, when the index
-is built, so a certificate is assembled from them without checking each
-letter again.  A query decodes its assignment once, with ``model``'s
-codec, which ``trace_assignment`` also uses to encode its result.
+classification.  The search moves and swapIrr letters come from the
+generator alphabet of ``words``, which validated them, so a certificate
+is assembled from them without checking each letter again.  A query
+decodes its assignment once, with ``model``'s codec, which
+``trace_assignment`` also uses to encode its result.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 
 from .errors import (
@@ -246,28 +246,14 @@ def trace_assignment(manifold: PrimeDecomposition, word: w.Word) -> Assignment:
 
 
 def _bfs_moves(manifold: PrimeDecomposition) -> list:
-    """Single-handle-letter slides, spins and handle swaps, in canonical order."""
-    moves = []
-    ell, k = manifold.ell, manifold.k
-    paths = []
-    for m in range(1, ell + 1):
-        paths.append((("x", m, 1),))
-        paths.append((("x", m, -1),))
-    for i in range(1, k + 1):
-        for p in paths:
-            moves.append(w.SlideIrr(i, p))
-    for j in range(1, ell + 1):
-        allowed = [p for p in paths if p[0][1] != j]
-        for sign in (1, -1):
-            for p in allowed:
-                moves.append(w.SlideEnd(j, sign, p))
-        for p in allowed:
-            moves.append(w.SlideHandle(j, p))
-    for j in range(1, ell + 1):
-        moves.append(w.Spin(j))
-    for a in range(1, ell + 1):
-        for b in range(a + 1, ell + 1):
-            moves.append(w.SwapHandles(a, b))
+    """The slides of ``words.discrepant_alphabet`` whose path is one x
+    letter, its spins and its handle swaps, in canonical (text) order."""
+    moves = [
+        lt
+        for lt in w.discrepant_alphabet(manifold)
+        if isinstance(lt, (w.Spin, w.SwapHandles))
+        or isinstance(lt, w._SLIDES) and lt.path[0][0] == "x"
+    ]
     moves.sort(key=lambda mv: word_letter_text(manifold, mv))
     return moves
 
@@ -313,12 +299,14 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     them out.
     """
     full, k, ell = manifold.full_mask, manifold.k, manifold.ell
-    # validated and compiled once, here, so certificates built from them
-    # need no check and their replays compile nothing
-    moves = w.Word.of(manifold, _bfs_moves(manifold)).letters
-    pairs = [p for c in manifold.type_classes() for p in itertools.combinations(c, 2)]
-    letters = w.Word.of(manifold, [w.SwapIrr(a, b) for a, b in pairs]).letters
-    swaps = dict(zip(pairs, letters))
+    # alphabet letters, validated there and compiled once, here, so
+    # certificates built from them need no check and replays compile nothing
+    moves = tuple(_bfs_moves(manifold))
+    swaps = {
+        (lt.a, lt.b): lt
+        for lt in w.nondiscrepant_alphabet(manifold)
+        if type(lt) is w.SwapIrr
+    }
     for letter in swaps.values():
         _compile_letter(manifold, letter)
     # crossing parity reads only the parity of a path's x letters, so
@@ -425,7 +413,7 @@ def _normalize(
         path.append(index.moves[n])
         link = index.parent[key]
     path.reverse()
-    # the moves and swaps were validated when the index was built
+    # the moves and swaps are alphabet letters, validated there
     return w.Word(manifold, prefix + tuple(path))
 
 

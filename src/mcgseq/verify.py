@@ -1,8 +1,9 @@
 """Bundled verification suites behind the `verify` CLI subcommand.
 
 Each suite returns a JSON-serializable report with case counts and a list
-of failure descriptions (empty when the suite passes).  All randomized
-suites are reproducible from their seed.
+of at most 20 failure descriptions (empty when the suite passes).  All
+randomized suites are reproducible from their seed.  The suites read
+the generator alphabet of ``words``, whose public names they import.
 """
 
 from __future__ import annotations
@@ -27,87 +28,18 @@ from .model import (
 )
 from .oracles import type_permutations, wreath_elements
 from .sequence import EductionImage, SpottedMarking
+from .words import (
+    discrepant_alphabet,
+    nondiscrepant_alphabet,
+    single_letter_paths,
+    twist_refs,
+)
 
 log = logging.getLogger("mcgseq.verify")
 
 
 # ---------------------------------------------------------------------------
-# alphabets and samplers
-
-
-def single_letter_paths(manifold: PrimeDecomposition, avoid_factor=None, avoid_handle=None):
-    """All length-one pi1 words usable as slide paths under the restrictions."""
-    paths = []
-    for i in range(1, manifold.k + 1):
-        if i == avoid_factor:
-            continue
-        for _, elem in manifold.type_of(i).pi1.generators():
-            paths.append((("g", i, elem),))
-    for j in range(1, manifold.ell + 1):
-        if j == avoid_handle:
-            continue
-        paths.append((("x", j, 1),))
-        paths.append((("x", j, -1),))
-    return paths
-
-
-def twist_refs(manifold: PrimeDecomposition) -> list:
-    """The standard spheres: ('sep', i) for each summand, then ('nonsep', j)
-    and ('assoc', j) for each handle."""
-    refs = [("sep", i) for i in range(1, manifold.k + 1)]
-    for j in range(1, manifold.ell + 1):
-        refs += [("nonsep", j), ("assoc", j)]
-    return refs
-
-
-def discrepant_alphabet(manifold: PrimeDecomposition) -> list:
-    """Slides with single-letter paths, spins, twists and handle swaps."""
-    letters = []
-    for i in range(1, manifold.k + 1):
-        for p in single_letter_paths(manifold, avoid_factor=i):
-            letters.append(w.SlideIrr(i, p))
-    for j in range(1, manifold.ell + 1):
-        paths = single_letter_paths(manifold, avoid_handle=j)
-        for sign in (1, -1):
-            for p in paths:
-                letters.append(w.SlideEnd(j, sign, p))
-        for p in paths:
-            letters.append(w.SlideHandle(j, p))
-    for j in range(1, manifold.ell + 1):
-        letters.append(w.Spin(j))
-    letters += [w.Twist(ref) for ref in twist_refs(manifold)]
-    for a in range(1, manifold.ell + 1):
-        for b in range(a + 1, manifold.ell + 1):
-            letters.append(w.SwapHandles(a, b))
-    for letter in letters:
-        w.check_letter(manifold, letter)
-    return letters
-
-
-def _aut_tokens(mcg) -> list:
-    """The tokens of aut letters: a finite mcg's elements, else its generators."""
-    return list(mcg.elements()) if mcg.is_finite else [e for _, e in mcg.generators()]
-
-
-def _swap_pairs(manifold: PrimeDecomposition) -> list:
-    """The pairs a < b of summands of one type, the swapIrr letters' indices."""
-    return [
-        (a, b)
-        for a in range(1, manifold.k + 1)
-        for b in range(a + 1, manifold.k + 1)
-        if manifold.type_of(a) == manifold.type_of(b)
-    ]
-
-
-def nondiscrepant_alphabet(manifold: PrimeDecomposition) -> list:
-    letters = []
-    for i in range(1, manifold.k + 1):
-        mcg = manifold.type_of(i).mcg
-        letters += [w.Aut(i, e) for e in _aut_tokens(mcg) if not mcg.is_identity(e)]
-    letters += [w.SwapIrr(a, b) for a, b in _swap_pairs(manifold)]
-    for letter in letters:
-        w.check_letter(manifold, letter)
-    return letters
+# samplers
 
 
 def random_fpword(manifold: PrimeDecomposition, rng: random.Random, max_len=3):
@@ -139,20 +71,16 @@ def random_letter(manifold: PrimeDecomposition, rng: random.Random, mixed=True):
             return w.SlideHandle(j, path)
         if kind == "spin" and manifold.ell:
             return w.Spin(rng.randint(1, manifold.ell))
-        if kind == "twist":
-            refs = twist_refs(manifold)
-            if refs:
-                return w.Twist(rng.choice(refs))
+        if kind == "twist":  # every manifold has a standard sphere
+            return w.Twist(rng.choice(twist_refs(manifold)))
         if kind == "swapHandles" and manifold.ell >= 2:
             a, b = sorted(rng.sample(range(1, manifold.ell + 1), 2))
             return w.SwapHandles(a, b)
         if kind == "aut" and manifold.k:
             i = rng.randint(1, manifold.k)
-            return w.Aut(i, rng.choice(_aut_tokens(manifold.type_of(i).mcg)))
-        if kind == "swapIrr":
-            pairs = _swap_pairs(manifold)
-            if pairs:
-                return w.SwapIrr(*rng.choice(pairs))
+            return w.Aut(i, rng.choice(w._aut_tokens(manifold.type_of(i).mcg)))
+        if kind == "swapIrr" and manifold.swap_pairs:
+            return w.SwapIrr(*rng.choice(manifold.swap_pairs))
 
 
 def random_word(manifold, rng, max_len=6, mixed=True) -> w.Word:
@@ -272,7 +200,7 @@ def allowable_assignments(manifold: PrimeDecomposition, nonsep_blocks):
     k, ell = manifold.k, manifold.ell
     singles = [(frozenset({s_label(p)}), None) for p in range(1, k + 1)]
     targets = [((b, "in"), (b, "out")) for b in nonsep_blocks]
-    for perm in type_permutations(manifold.type_classes()):
+    for perm in type_permutations(manifold.type_classes):
         summands = tuple((("d", i), singles[perm[i] - 1]) for i in range(1, k + 1))
         # per handle j and block: the runs d(j), d(j,-), d(j,+) of both sides
         runs = [
@@ -300,7 +228,7 @@ def _wreath_images(manifold: PrimeDecomposition):
     """The elements of H(V) as eduction images, in ``wreath_elements`` order."""
     summands = range(1, manifold.k + 1)
     oracles = [t.mcg for t in manifold.summands]
-    for perm, tokens in wreath_elements(oracles, manifold.type_classes()):
+    for perm, tokens in wreath_elements(oracles, manifold.type_classes):
         yield EductionImage(tuple(map(perm.get, summands)), tuple(tokens.values()))
 
 
@@ -385,7 +313,7 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
         "wreath_elements": elements,
         "mixed_words": mixed_words,
         "kernel_words": kernel_words,
-        "failures": failures,
+        "failures": failures[:20],
         "ok": not failures,
     }
 

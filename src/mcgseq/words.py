@@ -3,6 +3,11 @@
 Convention (used package-wide): words act left-to-right, so acting with
 ``compose(w1, w2)`` equals acting with w1 first, then w2.
 
+The alphabet is written out here, once, each letter checked:
+``discrepant_alphabet`` generates H_d(W) and ``nondiscrepant_alphabet``
+adds the aut and swapIrr letters of H(W).  ``verify`` enumerates both,
+and ``systems`` filters its BFS moves and swapIrr letters out of them.
+
 A ``Word`` is an immutable value, the pair (manifold, letters), that
 carries its eduction once ``sequence.is_discrepant`` or
 ``sequence.factor_discrepant`` has folded it, and its fold of the standard
@@ -176,6 +181,79 @@ def check_letter(manifold: PrimeDecomposition, letter) -> None:
         manifold.type_of(letter.summand).mcg.check_element(letter.token)
     else:
         raise InvalidWord(f"unknown letter {letter!r}")
+
+
+# ---------------------------------------------------------------------------
+# the generator alphabet
+
+
+def single_letter_paths(manifold: PrimeDecomposition, avoid_factor=None, avoid_handle=None):
+    """All length-one pi1 words usable as slide paths under the restrictions."""
+    paths = []
+    for i in range(1, manifold.k + 1):
+        if i == avoid_factor:
+            continue
+        for _, elem in manifold.type_of(i).pi1.generators():
+            paths.append((("g", i, elem),))
+    for j in range(1, manifold.ell + 1):
+        if j == avoid_handle:
+            continue
+        paths.append((("x", j, 1),))
+        paths.append((("x", j, -1),))
+    return paths
+
+
+def twist_refs(manifold: PrimeDecomposition) -> list:
+    """The standard spheres: ('sep', i) for each summand, then ('nonsep', j)
+    and ('assoc', j) for each handle."""
+    refs = [("sep", i) for i in range(1, manifold.k + 1)]
+    for j in range(1, manifold.ell + 1):
+        refs += [("nonsep", j), ("assoc", j)]
+    return refs
+
+
+def discrepant_alphabet(manifold: PrimeDecomposition) -> list:
+    """Slides with single-letter paths, spins, twists and handle swaps,
+    each checked by ``check_letter``."""
+    letters = []
+    for i in range(1, manifold.k + 1):
+        for p in single_letter_paths(manifold, avoid_factor=i):
+            letters.append(SlideIrr(i, p))
+    for j in range(1, manifold.ell + 1):
+        paths = single_letter_paths(manifold, avoid_handle=j)
+        for sign in (1, -1):
+            for p in paths:
+                letters.append(SlideEnd(j, sign, p))
+        for p in paths:
+            letters.append(SlideHandle(j, p))
+    for j in range(1, manifold.ell + 1):
+        letters.append(Spin(j))
+    letters += [Twist(ref) for ref in twist_refs(manifold)]
+    for a in range(1, manifold.ell + 1):
+        for b in range(a + 1, manifold.ell + 1):
+            letters.append(SwapHandles(a, b))
+    for letter in letters:
+        check_letter(manifold, letter)
+    return letters
+
+
+def _aut_tokens(mcg) -> list:
+    """The tokens of aut letters: a finite mcg's elements, else its generators."""
+    return list(mcg.elements()) if mcg.is_finite else [e for _, e in mcg.generators()]
+
+
+def nondiscrepant_alphabet(manifold: PrimeDecomposition) -> list:
+    """The aut letters of each summand's non-identity tokens (``_aut_tokens``),
+    then a swapIrr letter per pair in ``swap_pairs``, each checked by
+    ``check_letter``."""
+    letters = []
+    for i in range(1, manifold.k + 1):
+        mcg = manifold.type_of(i).mcg
+        letters += [Aut(i, e) for e in _aut_tokens(mcg) if not mcg.is_identity(e)]
+    letters += [SwapIrr(a, b) for a, b in manifold.swap_pairs]
+    for letter in letters:
+        check_letter(manifold, letter)
+    return letters
 
 
 # ---------------------------------------------------------------------------

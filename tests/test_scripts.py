@@ -1,9 +1,11 @@
 """The helper scripts in ``scripts/`` import private package names
 (``systems._reachability``): run each one on the mstar fixture (and
 ``run_suites.py`` also on a single-handle manifold) in a subprocess and
-check its exit code and key lines.  ``bench_pairs.py`` is
-loaded as a module, with its subprocess call replaced."""
+check its exit code and key lines.  ``bench_pairs.py`` and
+``fixture_grid.py`` are loaded as modules, with their subprocess calls
+replaced."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import K2L1_TEXT, load_script
+from mcgseq import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 MSTAR = str(ROOT / "fixtures" / "mstar.txt")
@@ -95,3 +98,44 @@ def test_bench_pairs_runs_without_bytecode_cache(tmp_path, monkeypatch):
     assert bench_pairs.run_once(tmp_path, "normalize-census", 1, 1.0) == (0, {"correct": True})
     assert calls == [(tmp_path, "1", [False, False])]
     assert (tmp_path / "src" / "mcgseq").is_dir()
+
+
+def test_fixture_grid_covers_every_command_and_format():
+    grid = load_script("fixture_grid")
+    runs = grid.commands()
+    cli_runs = [argv[2:] for argv in runs if argv[:2] == ["-m", "mcgseq"]]
+    covered = {
+        (argv[0], argv[argv.index("--format") + 1] if "--format" in argv else None)
+        for argv in cli_runs
+    }
+    expected = {
+        (name, fmt)
+        for name, (_, _, formats) in cli.COMMANDS.items()
+        for fmt in formats.split() or [None]
+    }
+    assert covered == expected
+    suites = [argv[argv.index("--suite") + 1] for argv in cli_runs if argv[0] == "verify"]
+    assert suites == list(verify.SUITES)
+    assert all(argv[-2:] == ["--max-len", "2"] for argv in cli_runs if argv[0] == "verify")
+    assert runs[len(cli_runs):] == [["scripts/enumerate_symmetric.py", "--lengths"]]
+
+
+def test_fixture_grid_prints_one_digest_line_per_command(monkeypatch, capsys):
+    # timings in a script's output are masked, so reruns print the same line
+    grid = load_script("fixture_grid")
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 1, stdout=b"took (1.25s)\n", stderr=b"")
+
+    monkeypatch.setattr(grid.subprocess, "run", fake_run)
+    assert grid.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(grid.commands())
+    masked = hashlib.sha256(b"took (s)\n").hexdigest()
+    raw = hashlib.sha256(b"took (1.25s)\n").hexdigest()
+    empty = hashlib.sha256(b"").hexdigest()
+    assert lines[-1] == (
+        f"python scripts/enumerate_symmetric.py --lengths exit=1 "
+        f"stdout={masked} stderr={empty}"
+    )
+    assert all(line.endswith(f"exit=1 stdout={raw} stderr={empty}") for line in lines[:-1])

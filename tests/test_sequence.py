@@ -87,7 +87,7 @@ class TestEduce:
             EductionImage(
                 tuple(perm[i] for i in (1, 2)), tuple(tokens[i] for i in (1, 2))
             )
-            for perm, tokens in wreath_elements(oracles, mstar.type_classes())
+            for perm, tokens in wreath_elements(oracles, mstar.type_classes)
         ]
         assert len(elements) == 8
         for a, b in itertools.product(elements, repeat=2):
@@ -101,7 +101,7 @@ class TestEduce:
             EductionImage(
                 tuple(perm[i] for i in (1, 2)), tuple(tokens[i] for i in (1, 2))
             )
-            for perm, tokens in wreath_elements(oracles, mstar.type_classes())
+            for perm, tokens in wreath_elements(oracles, mstar.type_classes)
         ]
         ident = identity_image(mstar)
         for a in elements:
@@ -130,7 +130,7 @@ class TestLift:
     def test_section_on_all_elements(self, mstar):
         oracles = [mstar.type_of(i).mcg for i in (1, 2)]
         count = 0
-        for perm, tokens in wreath_elements(oracles, mstar.type_classes()):
+        for perm, tokens in wreath_elements(oracles, mstar.type_classes):
             image = EductionImage(
                 tuple(perm[i] for i in (1, 2)), tuple(tokens[i] for i in (1, 2))
             )
@@ -307,6 +307,26 @@ class TestExactnessSuite:
         report = exactness_suite(mstar, max_len=2, mixed_len=3)
         assert report["ok"]
         assert len(calls) == 101_530
+
+    def test_reports_at_most_twenty_failures(self, s3_sign, monkeypatch):
+        # a broken educe that sends every non-identity image to one fixed
+        # image: the kernel is unchanged, so are the counts, but all but
+        # two of the 1,296 lifted elements fail
+        clean = exactness_suite(s3_sign, max_len=1, mixed_len=1)
+        identity = identity_image(s3_sign)
+        wrong = educe(parse_word(s3_sign, "swapIrr(1,2)"))
+
+        def broken(word):
+            image = educe(word)
+            return image if image == identity else wrong
+
+        monkeypatch.setattr(sequence, "educe", broken)
+        report = exactness_suite(s3_sign, max_len=1, mixed_len=1)
+        assert clean["ok"] and not report["ok"]
+        assert len(report["failures"]) == 20
+        assert all(f.startswith("educe(lift(h)) != h") for f in report["failures"])
+        counts = {k: v for k, v in clean.items() if k not in ("failures", "ok")}
+        assert {k: report[k] for k in counts} == counts
 
     def test_logs_skipped_and_compared_words(self, k2l1, caplog):
         with caplog.at_level(logging.INFO, logger="mcgseq.verify"):

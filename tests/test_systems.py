@@ -321,10 +321,11 @@ def _reference_reachability(manifold):
     )
     seen = {start: (None, None)}
     queue = deque([start])
+    moves = systems._bfs_moves(manifold)
     while queue:
         state = queue.popleft()
         slots, bits = state
-        for mv in systems._bfs_moves(manifold):
+        for mv in moves:
             nslots = _reference_act(manifold, mv, slots)
             if nslots is None:
                 continue
@@ -523,7 +524,7 @@ def _reference_enumerate_symmetric(manifold):
 def _reference_allowable_assignments(manifold, nonsep_blocks):
     """Each allowable assignment as a dict sorted by ``Assignment.of``: the
     enumerator's body before it joined shared parts, kept as its reference."""
-    for perm in type_permutations(manifold.type_classes()):
+    for perm in type_permutations(manifold.type_classes):
         summands = {("d", i): (frozenset({s_label(p)}), None) for i, p in perm.items()}
         for block_order in itertools.permutations(nonsep_blocks):
             for sides in itertools.product(("in", "out"), repeat=manifold.ell):

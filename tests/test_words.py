@@ -1,12 +1,13 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import random
 
 import pytest
 
-from mcgseq import fpgroup, sequence, systems, words as w
+from mcgseq import build_manifold, fpgroup, sequence, systems, verify, words as w
 from mcgseq.errors import InvalidWord, ManifoldMismatch, NotDiscrepant, OracleError
 from mcgseq.fpgroup import act_pi1, generator_words
 from mcgseq.textio import parse_fpword, parse_word, word_text
@@ -16,6 +17,135 @@ from mcgseq.verify import (
     nondiscrepant_alphabet,
     random_word,
 )
+
+
+# ---------------------------------------------------------------------------
+# the generator alphabet
+
+# per conftest manifold: (count, sha256 prefix of the letters' reprs, one
+# per line) of the BFS moves and of the two alphabets, as ``verify`` and
+# ``systems`` each built them before ``words`` owned the alphabet
+ALPHABET_PINS = {
+    "mstar": {
+        "bfs_moves": (23, "ddb40a3d3a68c9dd"),
+        "discrepant": (43, "cbfd3ff4f64a5b04"),
+        "nondiscrepant": (3, "e370c1802e54d2c8"),
+    },
+    "k2l1": {
+        "bfs_moves": (5, "e11f35520104b0ab"),
+        "discrepant": (17, "6a6499db64585601"),
+        "nondiscrepant": (3, "e370c1802e54d2c8"),
+    },
+    "mixed_types": {
+        "bfs_moves": (7, "a4f41a4ea94fc1c7"),
+        "discrepant": (27, "9cf9821d3ec70845"),
+        "nondiscrepant": (3, "e370c1802e54d2c8"),
+    },
+    "s3_sign": {
+        "bfs_moves": (7, "a4f41a4ea94fc1c7"),
+        "discrepant": (27, "9cf9821d3ec70845"),
+        "nondiscrepant": (18, "b1fa8a569a43291c"),
+    },
+    "free_mcg": {
+        "bfs_moves": (7, "a4f41a4ea94fc1c7"),
+        "discrepant": (42, "7432837a98b374da"),
+        "nondiscrepant": (9, "31228f94d91bb929"),
+    },
+}
+
+TYPE_PINS = {
+    "mstar": (((1, 2),), ((1, 2),)),
+    "k2l1": (((1, 2),), ((1, 2),)),
+    "mixed_types": (((1, 2), (3,)), ((1, 2),)),
+    "s3_sign": (((1, 2, 3),), ((1, 2), (1, 3), (2, 3))),
+    "free_mcg": (((1, 2, 3),), ((1, 2), (1, 3), (2, 3))),
+}
+
+# two types interleaved, so the classes' pairs are not in sorted order
+INTERLEAVED_TEXT = """
+type A pi1=Z/2 mcg=Z/1
+type B pi1=Z/3 mcg=Z/1
+summand 1 A
+summand 2 B
+summand 3 A
+summand 4 B
+summand 5 A
+handles 0
+"""
+
+
+def _digest(letters):
+    text = "\n".join(map(repr, letters))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _reference_type_classes(manifold):
+    """The pairwise scan that grouped the summands by type before the
+    manifold derived its type classes."""
+    classes = []
+    for i in range(1, manifold.k + 1):
+        t = manifold.type_of(i)
+        for ct, members in classes:
+            if ct == t:
+                members.append(i)
+                break
+        else:
+            classes.append((t, [i]))
+    return tuple(tuple(members) for _, members in classes)
+
+
+def _reference_swap_pairs(manifold):
+    """The pairwise scan of the swapIrr pairs that ``verify`` ran before."""
+    return tuple(
+        (a, b)
+        for a in range(1, manifold.k + 1)
+        for b in range(a + 1, manifold.k + 1)
+        if manifold.type_of(a) == manifold.type_of(b)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALPHABET_PINS))
+class TestGeneratorAlphabet:
+    def test_lists_are_pinned(self, name, request):
+        manifold = request.getfixturevalue(name)
+        lists = {
+            "bfs_moves": systems._bfs_moves(manifold),
+            "discrepant": w.discrepant_alphabet(manifold),
+            "nondiscrepant": w.nondiscrepant_alphabet(manifold),
+        }
+        got = {key: (len(v), _digest(v)) for key, v in lists.items()}
+        assert got == ALPHABET_PINS[name]
+
+    def test_type_classes_and_swap_pairs(self, name, request):
+        manifold = request.getfixturevalue(name)
+        pins = (manifold.type_classes, manifold.swap_pairs)
+        assert pins == TYPE_PINS[name]
+        assert pins == (
+            _reference_type_classes(manifold),
+            _reference_swap_pairs(manifold),
+        )
+
+    def test_index_swaps_are_the_alphabet_letters(self, name, request):
+        manifold = request.getfixturevalue(name)
+        swaps = systems._reachability(manifold).swaps
+        assert tuple(swaps) == manifold.swap_pairs
+        letters = [lt for lt in w.nondiscrepant_alphabet(manifold)
+                   if isinstance(lt, w.SwapIrr)]
+        assert list(swaps.values()) == letters
+
+
+def test_interleaved_types_match_the_scan():
+    manifold = build_manifold(INTERLEAVED_TEXT)
+    assert manifold.type_classes == ((1, 3, 5), (2, 4))
+    assert manifold.swap_pairs == ((1, 3), (1, 5), (2, 4), (3, 5))
+    assert manifold.type_classes == _reference_type_classes(manifold)
+    assert manifold.swap_pairs == _reference_swap_pairs(manifold)
+
+
+def test_verify_reads_the_alphabet_of_words():
+    for name in ("discrepant_alphabet", "nondiscrepant_alphabet",
+                 "single_letter_paths", "twist_refs"):
+        assert getattr(verify, name) is getattr(w, name)
 
 
 class TestCompose:
