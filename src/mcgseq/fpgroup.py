@@ -180,25 +180,22 @@ def act_pi1(manifold: PrimeDecomposition, word, u: FPWord) -> FPWord:
 # tabulated automorphisms
 
 
+def _image_of(images: tuple, key):
+    """The image of ``key`` in a table of (key, image) pairs: a scan of
+    the few generators, so the first entry of a repeated key wins."""
+    for known, image in images:
+        if known == key:
+            return image
+    raise KeyError(key)
+
+
 class AutTable(Value):
     """Images of every pi1 generator and every x_j under a word."""
 
-    _fields = ("manifold", "images")
-    __slots__ = _fields + ("_image_by_key",)
-
-    def __init__(
-        self, manifold: PrimeDecomposition, images: tuple[tuple[tuple, FPWord], ...]
-    ):
-        object.__setattr__(self, "manifold", manifold)
-        object.__setattr__(self, "images", images)  # (key, image word)
-        # reversed: the first entry of a repeated key wins, as in a scan
-        object.__setattr__(self, "_image_by_key", dict(reversed(images)))
+    __slots__ = _fields = ("manifold", "images")  # images: (key, image word)
 
     def image_of(self, key) -> FPWord:
-        try:
-            return self._image_by_key[key]
-        except (KeyError, TypeError):
-            raise KeyError(key) from None
+        return _image_of(self.images, key)
 
 
 def aut_of_word(manifold: PrimeDecomposition, word) -> AutTable:
@@ -300,22 +297,10 @@ def h1_basis_vector(manifold: PrimeDecomposition, key):
 class AbAction(Value):
     """Induced endomorphism of H1, tabulated on the ab basis."""
 
-    _fields = ("manifold", "images")
-    __slots__ = _fields + ("_image_by_key",)
-
-    def __init__(
-        self, manifold: PrimeDecomposition, images: tuple[tuple[tuple, tuple], ...]
-    ):
-        object.__setattr__(self, "manifold", manifold)
-        object.__setattr__(self, "images", images)  # (key, H1 element)
-        # reversed: the first entry of a repeated key wins, as in a scan
-        object.__setattr__(self, "_image_by_key", dict(reversed(images)))
+    __slots__ = _fields = ("manifold", "images")  # images: (key, H1 element)
 
     def image_of(self, key):
-        try:
-            return self._image_by_key[key]
-        except (KeyError, TypeError):
-            raise KeyError(key) from None
+        return _image_of(self.images, key)
 
     def apply(self, elem):
         m = self.manifold

@@ -12,6 +12,7 @@ what each sphere encloses: a laminar multiset of subsets of L.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 
 from .errors import InvalidFamily, NotReducible, NotSymmetric, OracleError
 from .oracles import CyclicOracle, FreeAbelianOracle, GroupOracle, OracleAut
@@ -322,9 +323,6 @@ class LaminarFamily(Value):
     _fields = ("blocks",)
     __slots__ = _fields + ("_nonsep",)
 
-    def __init__(self, blocks: tuple[frozenset, ...]):
-        object.__setattr__(self, "blocks", blocks)
-
     @classmethod
     def of(cls, blocks: Iterable[Iterable[Label]]) -> "LaminarFamily":
         canon = tuple(sorted((frozenset(b) for b in blocks), key=block_key))
@@ -341,27 +339,12 @@ _set_nonsep = LaminarFamily._nonsep.__set__
 
 
 class Violation(Value):
+    # code: 'unknown-label' | 'empty-block' | 'full-block' | 'overlap'
     __slots__ = _fields = ("code", "blocks", "message")
-
-    def __init__(self, code: str, blocks: tuple[frozenset, ...], message: str):
-        # code: 'unknown-label' | 'empty-block' | 'full-block' | 'overlap'
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "message", message)
 
 
 class LaminarReport(Value):
     __slots__ = _fields = ("ok", "violations", "duplicates")
-
-    def __init__(
-        self,
-        ok: bool,
-        violations: tuple[Violation, ...],
-        duplicates: tuple[frozenset, ...],
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "duplicates", duplicates)
 
 
 def _unknown_label_message(manifold: PrimeDecomposition, block: frozenset) -> str:
@@ -490,35 +473,18 @@ def _separates(manifold: PrimeDecomposition, mask: int) -> bool:
 
 
 class BlockInfo(Value):
+    # census: labels of the chamber between the block and its children
     __slots__ = _fields = ("block", "separating", "census")
-
-    def __init__(self, block: frozenset, separating: bool, census: frozenset):
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "separating", separating)
-        # labels of the chamber between the block and its children
-        object.__setattr__(self, "census", census)
 
 
 class SystemClass(Value):
     __slots__ = _fields = (
         "per_block",
         "is_symmetric",
-        "summand_blocks",
+        "summand_blocks",  # (i, block) when symmetric
         "nonsep_blocks",
     )
-
-    def __init__(
-        self,
-        per_block: tuple[BlockInfo, ...],
-        is_symmetric: bool,
-        summand_blocks: tuple[tuple[int, frozenset], ...] = (),
-        nonsep_blocks: tuple[frozenset, ...] = (),
-    ):
-        object.__setattr__(self, "per_block", per_block)
-        object.__setattr__(self, "is_symmetric", is_symmetric)
-        # (i, block) when symmetric
-        object.__setattr__(self, "summand_blocks", summand_blocks)
-        object.__setattr__(self, "nonsep_blocks", nonsep_blocks)
+    _defaults = {"summand_blocks": (), "nonsep_blocks": ()}
 
 
 def _handles_connect(manifold: PrimeDecomposition, blocks) -> bool:

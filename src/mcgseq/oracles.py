@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 
 from .errors import OracleError, ParseError
 from .values import Value
@@ -613,14 +614,10 @@ class OracleAut(Value):
             img == self.oracle.generator(name) for name, img in self.images
         )
 
-    def as_permutation(self) -> dict:
-        """The underlying permutation of elements (finite oracles only)."""
-        return {e: self.apply(e) for e in self.oracle.elements()}
-
     def inverse(self) -> "OracleAut":
         """Invert; finite oracles by permutation, Z^r by matrix inversion."""
         if self.oracle.is_finite:
-            perm = self.as_permutation()
+            perm = {e: self.apply(e) for e in self.oracle.elements()}
             if len(set(perm.values())) != len(perm):
                 raise OracleError("table is not a bijection")
             gens = dict(self.oracle.generators())

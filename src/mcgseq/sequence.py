@@ -228,31 +228,17 @@ class SpottedMarking(Value):
 class SpotSlide(Value):
     __slots__ = _fields = ("spot", "path")  # path: element of pi1(V0)
 
-    def __init__(self, spot: int, path):
-        object.__setattr__(self, "spot", spot)
-        object.__setattr__(self, "path", path)
-
 
 class SpotSwap(Value):
     __slots__ = _fields = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 class SpotTwist(Value):
     __slots__ = _fields = ("spot",)
 
-    def __init__(self, spot: int):
-        object.__setattr__(self, "spot", spot)
-
 
 class CapAut(Value):
     __slots__ = _fields = ("token",)  # element of mcg(V0)
-
-    def __init__(self, token):
-        object.__setattr__(self, "token", token)
 
 
 def check_spotted_letter(marking: SpottedMarking, letter) -> None:

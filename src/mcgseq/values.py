@@ -7,11 +7,15 @@ building one: importing ``dataclasses`` also loads ``inspect`` and ``ast``,
 and each dataclass compiles its methods from source at import.
 
 Equality and hash are derived from ``_fields`` once per class, when it is
-defined, so no class writes its own.  Constructors write their fields with
-``object.__setattr__``, except the three built on hot paths, which bind
-their slot descriptors' setters once: ``words.Word`` (about 1,600 per
-exact-sequence operation), ``sequence.EductionImage`` (182 per operation)
-and ``model.Assignment`` (5,184 per census set-up).
+defined, so no class writes its own.  The constructor is derived from
+``_fields`` too, with ``_defaults`` for the fields a caller may leave out.
+Eleven classes keep their own constructor.  Three are built on hot paths
+and write through their slot descriptors' setters: ``words.Word`` (about
+1,600 per exact-sequence operation), ``sequence.EductionImage`` (182 per
+operation) and ``model.Assignment`` (5,184 per census set-up).  Eight
+check or derive their fields: ``model.HomeoType``,
+``model.PrimeDecomposition``, ``sequence.SpottedMarking``, the four
+oracles and ``oracles.OracleAut``.
 """
 
 from operator import attrgetter
@@ -24,15 +28,39 @@ class Value:
     equal (``NotImplemented`` against any other class), the hash is that
     of the fields' tuple, and the repr is the dataclass repr, so every
     comparison, hash order and printed form is the frozen dataclass's.
-    Setting or deleting an attribute raises AttributeError: ``__init__``
-    and the memos write through the slot descriptors or
-    ``object.__setattr__``.  Pickling and copying rebuild the value from
-    its fields through ``__init__``, which checks them again and starts
-    with no memo.
+    The constructor takes the fields by position or by name, a missing
+    one from ``_defaults``, and raises TypeError on a missing, unexpected,
+    surplus or repeated argument.  Setting or deleting an attribute raises
+    AttributeError: ``__init__`` and the memos write through the slot
+    descriptors or ``object.__setattr__``.  Pickling and copying rebuild
+    the value from its fields through ``__init__``, which checks them
+    again and starts with no memo.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: dict = {}  # field -> value when not given; read only
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The fields in order from a call that is not one positional
+        argument per field; TypeError unless it names each field once."""
+        fields, given = cls._fields, dict(zip(cls._fields, args))
+        bound = {**cls._defaults, **given, **kwargs}
+        surplus = len(args) > len(fields) or given.keys() & kwargs
+        if surplus or bound.keys() != set(fields):
+            raise TypeError(
+                f"{cls.__name__}({', '.join(fields)}) called with {len(args)} "
+                f"positional arguments and the keywords {list(kwargs)}"
+            )
+        return [bound[name] for name in fields]
 
     def __init_subclass__(cls, **kwargs):
         """Derive ``_key``, ``__eq__`` and ``__hash__`` (unless the class

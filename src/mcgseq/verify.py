@@ -1,9 +1,10 @@
 """Bundled verification suites behind the `verify` CLI subcommand.
 
 Each suite returns a JSON-serializable report with case counts and a list
-of at most 20 failure descriptions (empty when the suite passes).  All
-randomized suites are reproducible from their seed.  The suites read
-the generator alphabet of ``words``, whose public names they import.
+of at most 20 failure descriptions, the first found (empty when the suite
+passes); ``_fail`` keeps them.  All randomized suites are reproducible
+from their seed.  The suites read the generator alphabet of ``words``,
+whose public names they import.
 """
 
 from __future__ import annotations
@@ -36,6 +37,21 @@ from .words import (
 )
 
 log = logging.getLogger("mcgseq.verify")
+
+REPORTED_FAILURES = 20  # failure messages a suite reports, the first found
+
+
+def _fail(failures: list, message, *words) -> None:
+    """Record a failure in ``failures``, which keeps the first
+    ``REPORTED_FAILURES`` messages.  The message is ``message``, or what it
+    returns if it is a function, followed by the text of each of ``words``
+    joined by " | ".  It is built only while it is kept, so a broken suite
+    formats the failures it reports, not every failure it finds.
+    """
+    if len(failures) < REPORTED_FAILURES:
+        if not isinstance(message, str):
+            message = message()
+        failures.append(message + " | ".join(map(textio.word_text, words)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +258,18 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
     for length in range(0, max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             words_checked += 1
-            if sequence.educe(w.Word(manifold, combo)) != identity:
-                failures.append(
-                    "discrepant word educes non-trivially: "
-                    + textio.word_text(w.Word(manifold, combo))
-                )
+            word = w.Word(manifold, combo)
+            if sequence.educe(word) != identity:
+                _fail(failures, "discrepant word educes non-trivially: ", word)
     elements = 0
     for image in _wreath_images(manifold):
         elements += 1
         lifted = sequence.lift(manifold, image)
         if sequence.educe(lifted) != image:
-            failures.append(
-                f"educe(lift(h)) != h for {textio.image_to_jsonable(manifold, image)}"
+            _fail(
+                failures,
+                lambda: "educe(lift(h)) != h for "
+                f"{textio.image_to_jsonable(manifold, image)}",
             )
     mixed = alphabet + nondiscrepant_alphabet(manifold)
     std = standard_system(manifold)
@@ -266,9 +282,8 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
             if not in_kernel:
                 try:
                     sequence.factor_discrepant(word)
-                    failures.append(
-                        "factor_discrepant accepted a non-kernel word: "
-                        + textio.word_text(word)
+                    _fail(
+                        failures, "factor_discrepant accepted a non-kernel word: ", word
                     )
                 except NotDiscrepant:
                     pass
@@ -276,9 +291,8 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
             kernel_words += 1
             factored = sequence.factor_discrepant(word)
             if any(not w.is_discrepant_letter(lt) for lt in factored.letters):
-                failures.append(
-                    "factor_discrepant left non-discrepant letters in "
-                    + textio.word_text(word)
+                _fail(
+                    failures, "factor_discrepant left non-discrepant letters in ", word
                 )
                 continue
             if factored.letters == word.letters:
@@ -288,15 +302,11 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
             if fpgroup.aut_of_word(manifold, word) != fpgroup.aut_of_word(
                 manifold, factored
             ):
-                failures.append(
-                    "pi1 action changed by factoring: " + textio.word_text(word)
-                )
+                _fail(failures, "pi1 action changed by factoring: ", word)
                 continue
             outcome = _system_outcome(manifold, word, std)
             if outcome != _system_outcome(manifold, factored, std):
-                failures.append(
-                    "system action changed by factoring: " + textio.word_text(word)
-                )
+                _fail(failures, "system action changed by factoring: ", word)
             elif outcome == "not-laminar":
                 vacuous += 1
     log.info(
@@ -313,7 +323,7 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
         "wreath_elements": elements,
         "mixed_words": mixed_words,
         "kernel_words": kernel_words,
-        "failures": failures[:20],
+        "failures": failures,
         "ok": not failures,
     }
 
@@ -360,38 +370,31 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
             except Exception as exc:  # Unreachable or any defect
                 unreachable += 1
                 if not (mirror and isinstance(exc, Unreachable)):
-                    failures.append(
-                        f"normalize failed on {[textio.block_text(b) for b in fam.blocks]}: {exc}"
+                    _fail(
+                        failures,
+                        lambda: "normalize failed on "
+                        f"{[textio.block_text(b) for b in fam.blocks]}: {exc}",
                     )
                 continue
             if mirror:
-                failures.append(
-                    "mirror-parity assignment normalized: " + textio.word_text(word)
-                )
+                _fail(failures, "mirror-parity assignment normalized: ", word)
             if systems.act_system(manifold, word, std) != fam:
-                failures.append(
-                    "normalized word misses the family: " + textio.word_text(word)
-                )
+                _fail(failures, "normalized word misses the family: ", word)
             if systems.trace_assignment(manifold, word) != assignment:
-                failures.append(
-                    "normalized word induces the wrong assignment: "
-                    + textio.word_text(word)
-                )
+                _fail(failures, "normalized word induces the wrong assignment: ", word)
             swapless = w.Word(
                 manifold,
                 tuple(lt for lt in word.letters if not isinstance(lt, w.SwapIrr)),
             )
             if not sequence.is_discrepant(swapless):
-                failures.append(
-                    "slide/spin/swap part is not discrepant: " + textio.word_text(word)
-                )
+                _fail(failures, "slide/spin/swap part is not discrepant: ", word)
     return {
         "suite": "normalization",
         "laminar_candidates": laminar_count,
         "symmetric_families": len(symmetric),
         "assignments": assignments,
         "unreachable": unreachable,
-        "failures": failures[:20],
+        "failures": failures,
         "ok": not failures,
     }
 
@@ -411,12 +414,7 @@ def pi1_suite(manifold: PrimeDecomposition, seed=7, pairs=300, max_len=6) -> dic
                 manifold, w2, fpgroup.act_pi1(manifold, w1, gen_word)
             )
             if lhs != rhs:
-                failures.append(
-                    "homomorphism violated: "
-                    + textio.word_text(w1)
-                    + " | "
-                    + textio.word_text(w2)
-                )
+                _fail(failures, "homomorphism violated: ", w1, w2)
                 break
     ab_checked = 0
     for _ in range(60):
@@ -425,36 +423,31 @@ def pi1_suite(manifold: PrimeDecomposition, seed=7, pairs=300, max_len=6) -> dic
         direct = fpgroup.abelianized_action(manifold, word)
         via_table = fpgroup.abelianize_table(fpgroup.aut_of_word(manifold, word))
         if direct.images != via_table.images:
-            failures.append("abelianization mismatch: " + textio.word_text(word))
+            _fail(failures, "abelianization mismatch: ", word)
     for j in range(1, manifold.ell + 1):
         spin_ab = fpgroup.abelianized_action(manifold, w.Word(manifold, (w.Spin(j),)))
         expected = [0] * manifold.ell
         expected[j - 1] = -1
         img = spin_ab.image_of(("x", j))
         if list(img[1]) != expected or any(
-            not oracle_identity(manifold, i, img[0][i - 1])
+            not manifold.type_of(i).pi1.abelianized()[0].is_identity(img[0][i - 1])
             for i in range(1, manifold.k + 1)
         ):
-            failures.append(f"spin({j}) does not abelianize to -1 on x{j}")
+            _fail(failures, f"spin({j}) does not abelianize to -1 on x{j}")
     for ref in twist_refs(manifold):
         word = w.Word(manifold, (w.Twist(ref),))
         if (
             fpgroup.abelianized_action(manifold, word).images
             != fpgroup.identity_ab_action(manifold).images
         ):
-            failures.append(f"twist({ref[0]}{ref[1]}) is not homologically trivial")
+            _fail(failures, f"twist({ref[0]}{ref[1]}) is not homologically trivial")
     return {
         "suite": "pi1",
         "pairs": pairs,
         "ab_cross_checks": ab_checked,
-        "failures": failures[:20],
+        "failures": failures,
         "ok": not failures,
     }
-
-
-def oracle_identity(manifold, i, elem):
-    oracle, _ = manifold.type_of(i).pi1.abelianized()
-    return oracle.is_identity(elem)
 
 
 def relations_suite(manifold: PrimeDecomposition) -> dict:
@@ -464,36 +457,36 @@ def relations_suite(manifold: PrimeDecomposition) -> dict:
     for ref in refs:
         word = w.Word.of(manifold, (w.Twist(ref), w.Twist(ref)))
         if w.free_reduce(word).letters != ():
-            failures.append(f"twist({ref}) squared does not reduce to e")
+            _fail(failures, f"twist({ref}) squared does not reduce to e")
     symmetric, _ = enumerate_symmetric(manifold)
     gens = fpgroup.generator_words(manifold)
     for j in range(1, manifold.ell + 1):
         spin2 = w.Word.of(manifold, (w.Spin(j), w.Spin(j)))
         reduced = w.free_reduce(spin2)
         if reduced.letters != (w.Twist(("assoc", j)),):
-            failures.append(f"spin({j})^2 does not reduce to twist(assoc{j})")
+            _fail(failures, f"spin({j})^2 does not reduce to twist(assoc{j})")
         for _, gen_word in gens:
             if fpgroup.act_pi1(manifold, spin2, gen_word) != gen_word:
-                failures.append(f"spin({j})^2 acts non-trivially on pi1")
+                _fail(failures, f"spin({j})^2 acts non-trivially on pi1")
                 break
         spin_word = w.Word.of(manifold, (w.Spin(j),))
         swap = {e_label(j, 1): e_label(j, -1), e_label(j, -1): e_label(j, 1)}
         for fam, _nonsep in symmetric:
             if systems.act_system(manifold, spin2, fam) != fam:
-                failures.append(f"spin({j})^2 moves a symmetric family")
+                _fail(failures, f"spin({j})^2 moves a symmetric family")
                 break
             image = systems.act_system(manifold, spin_word, fam)
             expected = LaminarFamily.of(
                 frozenset(swap.get(lab, lab) for lab in b) for b in fam.blocks
             )
             if image != expected:
-                failures.append(f"spin({j}) is not the e{j}+/e{j}- label swap")
+                _fail(failures, f"spin({j}) is not the e{j}+/e{j}- label swap")
                 break
     return {
         "suite": "relations",
         "twist_refs": len(refs),
         "symmetric_families": len(symmetric),
-        "failures": failures[:20],
+        "failures": failures,
         "ok": not failures,
     }
 
@@ -507,7 +500,10 @@ def spotted_suite(marking: SpottedMarking, max_len=3) -> dict:
     for cap, perm in targets:
         lifted = sequence.spotted_lift(marking, cap, perm)
         if sequence.spotted_educe(marking, lifted) != (cap, perm):
-            failures.append(f"spotted lift misses ({mcg.elem_to_text(cap)}, {perm})")
+            _fail(
+                failures,
+                lambda: f"spotted lift misses ({mcg.elem_to_text(cap)}, {perm})",
+            )
     alphabet = []
     for a in range(1, marking.spots + 1):
         for _, elem in marking.cap_type.pi1.generators():
@@ -529,7 +525,7 @@ def spotted_suite(marking: SpottedMarking, max_len=3) -> dict:
             trivial = (cap, perm) == identity
             expected_trivial = _spotted_expected_trivial(marking, combo)
             if trivial != expected_trivial:
-                failures.append(f"kernel mismatch on {combo!r}")
+                _fail(failures, lambda: f"kernel mismatch on {combo!r}")
             if trivial:
                 kernel += 1
     return {
@@ -537,7 +533,7 @@ def spotted_suite(marking: SpottedMarking, max_len=3) -> dict:
         "surjectivity_targets": len(targets),
         "words": words,
         "kernel_words": kernel,
-        "failures": failures[:20],
+        "failures": failures,
         "ok": not failures,
     }
 
@@ -563,32 +559,32 @@ def roundtrip_suite(manifold: PrimeDecomposition, seed=7, cases=200) -> dict:
     rng = random.Random(seed)
     failures = []
     if textio.parse_manifold(textio.manifold_text(manifold)) != manifold:
-        failures.append("manifold round-trip failed")
+        _fail(failures, "manifold round-trip failed")
     symmetric, _ = enumerate_symmetric(manifold)
     for fam, _nonsep in symmetric[: cases // 4]:
         if textio.parse_family(textio.family_text(fam)) != fam:
-            failures.append(f"family round-trip failed: {fam}")
+            _fail(failures, lambda: f"family round-trip failed: {fam}")
     for _ in range(cases):
         word = random_word(manifold, rng, max_len=5)
         text = textio.word_text(word)
         if textio.parse_word(manifold, text) != word:
-            failures.append(f"word round-trip failed: {text}")
+            _fail(failures, f"word round-trip failed: {text}")
         u = random_fpword(manifold, rng, max_len=4)
         if textio.parse_fpword(manifold, textio.fpword_text(manifold, u)) != u:
-            failures.append("pi1 word round-trip failed")
+            _fail(failures, "pi1 word round-trip failed")
     for _fam, nonsep in symmetric[:10]:
         for assignment in itertools.islice(allowable_assignments(manifold, nonsep), 4):
             text = textio.assignment_text(assignment)
             if textio.parse_assignment(manifold, text) != assignment:
-                failures.append("assignment round-trip failed")
+                _fail(failures, "assignment round-trip failed")
     for image in itertools.islice(_wreath_images(manifold), 50):
         data = textio.image_to_jsonable(manifold, image)
         if textio.image_from_jsonable(manifold, data) != image:
-            failures.append("eduction image round-trip failed")
+            _fail(failures, "eduction image round-trip failed")
     return {
         "suite": "roundtrip",
         "cases": cases,
-        "failures": failures[:20],
+        "failures": failures,
         "ok": not failures,
     }
 

@@ -43,10 +43,6 @@ class SlideIrr(Value):
     _fields = ("summand", "path")
     __slots__ = _fields + ("_compiled",)
 
-    def __init__(self, summand: int, path: tuple):
-        object.__setattr__(self, "summand", summand)
-        object.__setattr__(self, "path", path)
-
 
 class SlideEnd(Value):
     """Slide of one end e(j, sign) of a non-separating sphere."""
@@ -54,11 +50,6 @@ class SlideEnd(Value):
     # sign: +1 or -1; path: FPWord; must avoid x_j letters
     _fields = ("handle", "sign", "path")
     __slots__ = _fields + ("_compiled",)
-
-    def __init__(self, handle: int, sign: int, path: tuple):
-        object.__setattr__(self, "handle", handle)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "path", path)
 
 
 class SlideHandle(Value):
@@ -68,10 +59,6 @@ class SlideHandle(Value):
     _fields = ("handle", "path")
     __slots__ = _fields + ("_compiled",)
 
-    def __init__(self, handle: int, path: tuple):
-        object.__setattr__(self, "handle", handle)
-        object.__setattr__(self, "path", path)
-
 
 class Spin(Value):
     """Half Dehn twist on the separating sphere associated to handle j."""
@@ -79,17 +66,11 @@ class Spin(Value):
     _fields = ("handle",)
     __slots__ = _fields + ("_compiled",)
 
-    def __init__(self, handle: int):
-        object.__setattr__(self, "handle", handle)
-
 
 class Twist(Value):
     """Dehn twist on a standard sphere; ref is ('sep',i)/('nonsep',j)/('assoc',j)."""
 
     __slots__ = _fields = ("ref",)
-
-    def __init__(self, ref: tuple):
-        object.__setattr__(self, "ref", ref)
 
 
 class SwapHandles(Value):
@@ -98,10 +79,6 @@ class SwapHandles(Value):
     _fields = ("a", "b")
     __slots__ = _fields + ("_compiled",)
 
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 class SwapIrr(Value):
     """Interchanging slide of two homeomorphic irreducible summands (a < b)."""
@@ -109,28 +86,20 @@ class SwapIrr(Value):
     _fields = ("a", "b")
     __slots__ = _fields + ("_compiled",)
 
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 class Aut(Value):
     """A mapping-class token of HomeoType(i) applied to summand i."""
 
     __slots__ = _fields = ("summand", "token")  # token: mcg oracle element
 
-    def __init__(self, summand: int, token):
-        object.__setattr__(self, "summand", summand)
-        object.__setattr__(self, "token", token)
-
 
 _SLIDES = (SlideIrr, SlideEnd, SlideHandle)
-DISCREPANT_KINDS = _SLIDES + (Spin, Twist, SwapHandles)
-DISCREPANT_TYPES = frozenset(DISCREPANT_KINDS)  # for exact type(letter) tests
+# tested by exact type(letter): no letter class has a subclass
+DISCREPANT_TYPES = frozenset(_SLIDES + (Spin, Twist, SwapHandles))
 
 
 def is_discrepant_letter(letter) -> bool:
-    return isinstance(letter, DISCREPANT_KINDS)
+    return type(letter) in DISCREPANT_TYPES
 
 
 def check_letter(manifold: PrimeDecomposition, letter) -> None:

@@ -120,10 +120,15 @@ class TestAutTable:
         assert table.image_of(("g", 1, "g1")) == (g(1),)
 
     def test_image_of_unknown_key(self, mstar):
-        table = AutTable(mstar, tuple(generator_words(mstar)))
-        for key in (("x", 3), ["x", 1]):
-            with pytest.raises(KeyError):
-                table.image_of(key)
+        """Also on an ``AbAction``; a repeated key gives its first entry."""
+        ab = identity_ab_action(mstar)
+        for table in (AutTable(mstar, tuple(generator_words(mstar))), ab):
+            for key in (("x", 3), ["x", 1]):
+                with pytest.raises(KeyError):
+                    table.image_of(key)
+            (key, first), (_, second) = table.images[:2]
+            repeated = type(table)(mstar, ((key, first), (key, second)))
+            assert first != second and repeated.image_of(key) == first
 
     def test_transvection_table(self, mstar):
         table = aut_of_word(mstar, parse_word(mstar, "slideEnd(1,+; g1@1)"))

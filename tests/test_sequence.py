@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcgseq import fpgroup, sequence, systems, words as w
+from mcgseq import fpgroup, sequence, systems, textio, words as w
 from mcgseq.errors import InvalidWord, NotDiscrepant, OracleError, TypeMismatch
 from mcgseq.model import standard_system
 from mcgseq.oracles import wreath_elements
@@ -24,7 +24,7 @@ from mcgseq.sequence import (
     spotted_educe,
     spotted_lift,
 )
-from mcgseq.textio import parse_word
+from mcgseq.textio import image_to_jsonable, parse_word
 from mcgseq.verify import exactness_suite, random_word
 
 
@@ -320,10 +320,18 @@ class TestExactnessSuite:
             image = educe(word)
             return image if image == identity else wrong
 
+        formatted = []
+
+        def spy(manifold, image):
+            formatted.append(image)
+            return image_to_jsonable(manifold, image)
+
         monkeypatch.setattr(sequence, "educe", broken)
+        monkeypatch.setattr(textio, "image_to_jsonable", spy)
         report = exactness_suite(s3_sign, max_len=1, mixed_len=1)
         assert clean["ok"] and not report["ok"]
         assert len(report["failures"]) == 20
+        assert len(formatted) <= 20  # only the reported failures are formatted
         assert all(f.startswith("educe(lift(h)) != h") for f in report["failures"])
         counts = {k: v for k, v in clean.items() if k not in ("failures", "ok")}
         assert {k: report[k] for k in counts} == counts

@@ -4,13 +4,15 @@ Each of the 30 classes, ``Word`` and the 29 that were frozen dataclasses,
 is checked against a ``dataclasses.make_dataclass`` reference with the
 same fields and defaults: repr, equality only within one class, hash,
 refusal to set or delete, pickle and copy round trips, and positional,
-keyword and default construction, with a missing or unexpected argument
-refused.  Every value class the package defines is among them.  Values
-whose memo slots are filled (compiled letters, a family read by
-``normalize_system``, a folded and educed word) compare, hash and print as
-fresh ones, and their copies start with empty memos.  The package itself
-does not import ``dataclasses``: a fresh interpreter that imports the CLI
-loads neither it nor ``inspect`` nor ``ast``.
+keyword and default construction, with a missing, unexpected, surplus or
+repeated argument refused.  Every value class the package defines is among
+them, and only the eleven that check, derive or set their fields on a hot
+path write their own constructor.  Values whose memo slots are filled
+(compiled letters, a family read by ``normalize_system``, a folded and
+educed word) compare, hash and print as fresh ones, and their copies start
+with empty memos.  The package itself does not import ``dataclasses``: a
+fresh interpreter that imports the CLI loads neither it nor ``inspect``
+nor ``ast``.
 """
 
 import copy
@@ -151,6 +153,21 @@ def cases(mstar):
     return built
 
 
+# built on hot paths, or checking or deriving their fields
+OWN_CONSTRUCTOR = {
+    "Word", "EductionImage", "Assignment", "HomeoType", "PrimeDecomposition",
+    "SpottedMarking", "CyclicOracle", "FreeOracle", "FreeAbelianOracle",
+    "TableOracle", "OracleAut",
+}
+
+
+def test_only_the_named_classes_write_a_constructor(cases):
+    """Every other value class takes ``Value``'s, derived from ``_fields``."""
+    own = {name for name in NAMES if "__init__" in cases[name][0].__dict__}
+    assert own == OWN_CONSTRUCTOR
+    assert "__init__" in Value.__dict__
+
+
 def _reference(cls, fields, defaults):
     spec = [
         (name, object, dataclasses.field(default=defaults[name]))
@@ -185,6 +202,10 @@ class TestDataclassConformance:
                 make(**missing)
             with pytest.raises(TypeError):
                 make(**fields, other=None)
+            with pytest.raises(TypeError):
+                make(*fields.values(), None)
+            with pytest.raises(TypeError):
+                make(fields[first], **fields)
 
     def test_equality_within_one_class(self, cases, name):
         cls, fields, changed, defaults = cases[name]
