@@ -391,12 +391,6 @@ def abelianized_action(manifold: PrimeDecomposition, word) -> AbAction:
 def abelianize_table(table: AutTable) -> AbAction:
     """Project a full pi1 automorphism table to H1 (route B)."""
     m = table.manifold
-    images = []
-    for key, lift in ab_basis(m):
-        if key[0] == "g":
-            _, i, name = key
-            img_word = table.image_of(("g", i, name))
-        else:
-            img_word = table.image_of(key)
-        images.append((key, h1_of_fpword(m, img_word)))
+    known = dict(reversed(table.images))  # the first entry of a repeated key wins
+    images = [(key, h1_of_fpword(m, known[key])) for key, _ in ab_basis(m)]
     return AbAction(m, tuple(sorted(images)))

@@ -10,10 +10,12 @@ change sides of b an odd number of times: a ``g`` letter goes to a summand
 chamber and back, and an x_j teleport changes sides of b iff b holds
 exactly one end of handle j.  Hence b toggles iff ``popcount(b & P)`` is
 odd, where P is the union of the end pairs {e(j,+), e(j,-)} of the handles
-whose x_j letters occur an odd number of times in the path: one AND, one
-popcount and at most one XOR per block, with no forest and no walk.  The
-other letters relabel: spins swap e(j,+) and e(j,-) everywhere, handle and
-summand interchanges swap label pairs, twists do nothing.
+whose x_j letters occur an odd number of times in the path, with no forest
+and no walk.  The other letters relabel: spins swap e(j,+) and e(j,-)
+everywhere, handle and summand interchanges swap label pairs, twists do
+nothing.  So a block's image depends on its mask alone: each action keeps a
+map from mask to image (``_Images``), filled by this rule when a mask first
+meets it, and a slide's image tuple is checked for laminarity every time.
 
 ``normalize_system`` inverts this action: a breadth-first search over the
 finite reachable state space produces the lexicographically least shortest
@@ -73,10 +75,34 @@ log = logging.getLogger("mcgseq.systems")
 # letters on block masks
 
 
-def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
-    """A letter's ``_mask_action``; twists and auts are ``(0, 0, ())``.
+class _Images(dict):
+    """The image of each block mask met so far (at most 2^|L|) under the
+    ``_mask_action`` kept in ``action``; an image depends on the action
+    alone, so letters with equal actions, on any manifold, share one map."""
 
-    A slide, spin or interchange keeps its action in its ``_compiled`` slot
+    __slots__ = ("action",)
+
+    def __init__(self, action: tuple):
+        self.action = action
+
+    def __missing__(self, mask: int) -> int:
+        slid, parity, swaps = self.action
+        image = mask ^ slid if (mask & parity).bit_count() & 1 else mask
+        for a, b in swaps:
+            if bool(image & a) != bool(image & b):
+                image ^= a | b
+        self[mask] = image
+        return image
+
+
+_images = functools.lru_cache(maxsize=None)(_Images)  # one map per action
+_IDENTITY = _images((0, 0, ()))
+
+
+def _compile_letter(manifold: PrimeDecomposition, letter) -> _Images:
+    """The map of a letter's ``_mask_action`` (twists and auts: ``_IDENTITY``).
+
+    A slide, spin or interchange keeps its map in its ``_compiled`` slot
     with the manifold it was compiled on (this is the slot's one writer),
     and a later call on that same manifold object reads it back.
     """
@@ -86,15 +112,15 @@ def _compile_letter(manifold: PrimeDecomposition, letter) -> tuple:
             return memo[1]
     except AttributeError:  # not compiled yet, or a twist or aut
         if isinstance(letter, (w.Twist, w.Aut)):
-            return 0, 0, ()
-    compiled = _mask_action(manifold, letter)
-    object.__setattr__(letter, "_compiled", (manifold, compiled))
-    return compiled
+            return _IDENTITY
+    images = _images(_mask_action(manifold, letter))
+    object.__setattr__(letter, "_compiled", (manifold, images))
+    return images
 
 
 def _mask_action(manifold: PrimeDecomposition, letter) -> tuple:
     """A slide, spin or interchange's action on block masks as ``(slid,
-    parity, swaps)``.
+    parity, swaps)``, the key of its ``_Images`` map.
 
     A slide toggles ``slid`` in each block b with ``popcount(b & parity)``
     odd and has no swaps; spins and interchanges swap the bit pairs in
@@ -125,27 +151,11 @@ def _mask_action(manifold: PrimeDecomposition, letter) -> tuple:
     raise InvalidWord(f"unknown generator letter {letter!r}")
 
 
-def _swap_bits(mask: int, swaps) -> int:
-    for a, b in swaps:
-        if bool(mask & a) != bool(mask & b):
-            mask ^= a | b
-    return mask
-
-
-def _apply(compiled: tuple, masks: tuple) -> tuple:
-    """Block masks after a compiled letter, in order; only a slide
-    (``compiled[0]`` nonzero) can break laminarity."""
-    slid, parity, swaps = compiled
-    if swaps:
-        return tuple([_swap_bits(m, swaps) for m in masks])
-    return tuple([m ^ slid if (m & parity).bit_count() & 1 else m for m in masks])
-
-
 def _act_masks(manifold: PrimeDecomposition, letter, masks: tuple) -> tuple:
     """Apply one letter to a tuple of block masks, in order."""
-    compiled = _compile_letter(manifold, letter)
-    out = _apply(compiled, masks)
-    if compiled[0] and not is_laminar(out, manifold.full_mask):
+    images = _compile_letter(manifold, letter)
+    out = tuple(map(images.__getitem__, masks))
+    if images.action[0] and not is_laminar(out, manifold.full_mask):
         report = validate_laminar(manifold, map(manifold.block_of, out))
         raise NotLaminarAfterSlide(
             f"slide {word_letter_text(manifold, letter)} breaks laminarity: "
@@ -199,8 +209,8 @@ def act_system(
 # ``_normalize`` never seeds it from its search key, so a replay always
 # folds the certificate's letters rather than reading the search's claim.
 # Those letters are the index's own moves and swapIrr letters, which
-# ``_reachability`` compiled once and which carry their compiled action
-# (``_compile_letter``), so the fold compiles none of them.
+# ``_reachability`` compiled, so the fold compiles none of them; it maps
+# every slot through each letter's map and reads nothing of the index.
 
 
 def _fold_state(manifold: PrimeDecomposition, letters):
@@ -311,12 +321,12 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
         _compile_letter(manifold, letter)
     # crossing parity reads only the parity of a path's x letters, so
     # slides along x_j and x_j^-1 share an action
-    groups = {}  # action -> its move numbers
+    groups = {}  # (mask action, spin flip) -> its move numbers
     for n, mv in enumerate(moves):
-        action = (_compile_letter(manifold, mv),
-                  1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0)
-        groups.setdefault(action, []).append(n)
-    actions = [(letter, flip, ns[0], len(ns)) for (letter, flip), ns in groups.items()]
+        flip = 1 << (mv.handle - 1) if isinstance(mv, w.Spin) else 0
+        groups.setdefault((_compile_letter(manifold, mv).action, flip), []).append(n)
+    actions = [(_images(action).__getitem__, action[0], flip, ns[0], len(ns))
+               for (action, flip), ns in groups.items()]
     start = manifold.standard_slots[k:]
     ids = {start: 0}
     tuples = [start]  # the keys of ids, by id
@@ -326,9 +336,9 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
         own = len(rows) << ell  # a move back to the key itself sets no parent
         row = {own: -1}  # target -> first move number
         rejected = 0
-        for letter, flip, n, count in actions:
-            nslots = _apply(letter, slots)
-            if letter[0] and not is_laminar(nslots, full):
+        for image, slid, flip, n, count in actions:
+            nslots = tuple(map(image, slots))
+            if slid and not is_laminar(nslots, full):
                 rejected += count
                 continue
             tid = ids.setdefault(nslots, len(tuples))

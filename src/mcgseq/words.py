@@ -16,13 +16,15 @@ run it for ``act_system`` or ``trace_assignment``; every function here
 builds a new word, which starts with neither.
 
 A slide, spin or interchange letter carries its action on block masks in
-a ``_compiled`` slot, the pair (manifold, action), once
+a ``_compiled`` slot, the pair (manifold, map), once
 ``systems._compile_letter``, the memo's one writer, has compiled it; it is
-read back only on that same manifold object.  So the BFS moves and
-swapIrr letters of ``systems._reachability`` arrive compiled in every
-certificate built from them: a replay still folds the certificate's own
-letters, but compiles none of them.  Like a word's memos, it takes no part
-in equality, hash, repr, pickling or copying.
+read back only on that same manifold object.  The map (``systems._Images``,
+shared by equal actions) holds each mask's image next to the action
+``(slid, parity, swaps)`` that fills it.  So the BFS moves and swapIrr
+letters of ``systems._reachability`` arrive compiled in every certificate
+built from them: a replay still folds the certificate's own letters, but
+compiles none of them.  Like a word's memos, it takes no part in equality,
+hash, repr, pickling or copying.
 """
 
 from __future__ import annotations

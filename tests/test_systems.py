@@ -945,16 +945,17 @@ class TestDerivedMemos:
             for letter in letters:
                 actions = []
                 for m in (mstar, others, twin, mstar):
-                    action = systems._compile_letter(m, letter)
-                    assert action == systems._compile_letter(m, self._fresh(letter))
-                    assert letter._compiled == (m, action) and letter._compiled[0] is m
-                    actions.append(action)
+                    images = systems._compile_letter(m, letter)
+                    assert images is systems._compile_letter(m, self._fresh(letter))
+                    assert letter._compiled[0] is m and letter._compiled[1] is images
+                    actions.append(images.action)
                 assert actions[0] == actions[2] == actions[3]
                 differ += actions[0] != actions[1]
         # all but swapIrr(1,2): s1 and s2 are bits 0 and 1 on any manifold
         assert differ == 6
         for letter in (w.Twist(("assoc", 1)), w.Aut(1, "tau")):
-            assert systems._compile_letter(mstar, letter) == (0, 0, ())
+            assert systems._compile_letter(mstar, letter) is systems._IDENTITY
+            assert systems._IDENTITY.action == (0, 0, ())
             assert not hasattr(letter, "_compiled")
 
     def test_family_memo_on_two_parses(self, mstar):
@@ -1034,6 +1035,68 @@ class TestDerivedMemos:
         assert len(cases) == 5184
         assert compiled == {"swapIrr": 0, "other": 0}
         assert prefixes > 0
+
+
+def _reference_swap_bits(mask, swaps):
+    """The per-mask swap of ``systems`` before letters kept mask maps."""
+    for a, b in swaps:
+        if bool(mask & a) != bool(mask & b):
+            mask ^= a | b
+    return mask
+
+
+def _reference_apply(compiled, masks):
+    """Block masks after a compiled ``(slid, parity, swaps)`` action, as
+    ``systems`` computed them before letters kept mask maps."""
+    slid, parity, swaps = compiled
+    if swaps:
+        return tuple([_reference_swap_bits(m, swaps) for m in masks])
+    return tuple([m ^ slid if (m & parity).bit_count() & 1 else m for m in masks])
+
+
+class TestMaskMaps:
+    """A compiled letter acts through a map from block mask to image
+    (``systems._Images``), filled from its ``_mask_action``; it must give
+    the image the per-mask rule gives, on every mask of L."""
+
+    @pytest.mark.parametrize(
+        "named_manifold", ["mstar", "k2l1", "mixed_types", "handles 3"], indirect=True
+    )
+    def test_every_image_follows_the_rule(self, named_manifold):
+        m = named_manifold
+        masks = tuple(range(m.full_mask + 1))
+        letters = w.discrepant_alphabet(m) + w.nondiscrepant_alphabet(m)
+        maps = {}  # action -> the one map of its letters
+        for letter in letters:
+            images = systems._compile_letter(m, letter)
+            if isinstance(letter, (w.Twist, w.Aut)):
+                assert images is systems._IDENTITY and not hasattr(letter, "_compiled")
+                assert tuple(map(images.__getitem__, masks)) == masks
+                continue
+            action = systems._mask_action(m, letter)
+            assert images.action == action and letter._compiled == (m, images)
+            assert maps.setdefault(action, images) is images
+            assert tuple(map(images.__getitem__, masks)) == _reference_apply(action, masks)
+            # a map may be shared with letters of other manifolds: every entry
+            # follows the rule, whichever letter filled it
+            filled = tuple(images)
+            assert tuple(images.values()) == _reference_apply(action, filled)
+        assert len({id(images) for images in maps.values()}) == len(maps)
+        # slides along x_j and x_j^-1 share one map
+        assert len(maps) < sum(not isinstance(lt, (w.Twist, w.Aut)) for lt in letters)
+
+    def test_a_rejected_slide_raises_every_time(self, mstar):
+        """The map keeps images, not verdicts: a slide that breaks
+        laminarity raises on every application."""
+        first, slide = parse_word(mstar, TestStandardFoldMemo.BREAKS).letters
+        masks = systems._act_masks(mstar, first, mstar.standard_slots)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(NotLaminarAfterSlide) as exc:
+                systems._act_masks(mstar, slide, masks)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert messages.pop().startswith("slide slideEnd(1,-; x2^-1) breaks laminarity: ")
 
 
 class TestKnownDefects:
