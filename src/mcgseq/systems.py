@@ -15,7 +15,13 @@ and no walk.  The other letters relabel: spins swap e(j,+) and e(j,-)
 everywhere, handle and summand interchanges swap label pairs, twists do
 nothing.  So a block's image depends on its mask alone: each action keeps a
 map from mask to image (``_Images``), filled by this rule when a mask first
-meets it, and a slide's image tuple is checked for laminarity every time.
+meets it.  Laminarity is decided once per slot tuple.  In a replay
+(``_act_masks``) each compiled letter keeps, on one manifold object, a
+steps dict from each slot tuple it has acted on to its checked image, so
+a slide's image of a tuple is checked the first time only; an image that
+breaks laminarity is never stored, so that slide raises on every
+application.  The search checks only the slide images it meets for the
+first time.
 
 ``normalize_system`` inverts this action: a breadth-first search over the
 finite reachable state space produces the lexicographically least shortest
@@ -102,9 +108,10 @@ _IDENTITY = _images((0, 0, ()))
 def _compile_letter(manifold: PrimeDecomposition, letter) -> _Images:
     """The map of a letter's ``_mask_action`` (twists and auts: ``_IDENTITY``).
 
-    A slide, spin or interchange keeps its map in its ``_compiled`` slot
-    with the manifold it was compiled on (this is the slot's one writer),
-    and a later call on that same manifold object reads it back.
+    A slide, spin or interchange keeps ``(manifold, map, steps)`` in its
+    ``_compiled`` slot (this is the slot's one writer), and a later call on
+    that same manifold object reads the map back.  ``steps``, empty here,
+    is ``_act_masks``'s dict from each slot tuple to its checked image.
     """
     try:
         memo = letter._compiled
@@ -114,7 +121,7 @@ def _compile_letter(manifold: PrimeDecomposition, letter) -> _Images:
         if isinstance(letter, (w.Twist, w.Aut)):
             return _IDENTITY
     images = _images(_mask_action(manifold, letter))
-    object.__setattr__(letter, "_compiled", (manifold, images))
+    object.__setattr__(letter, "_compiled", (manifold, images, {}))
     return images
 
 
@@ -152,15 +159,31 @@ def _mask_action(manifold: PrimeDecomposition, letter) -> tuple:
 
 
 def _act_masks(manifold: PrimeDecomposition, letter, masks: tuple) -> tuple:
-    """Apply one letter to a tuple of block masks, in order."""
-    images = _compile_letter(manifold, letter)
-    out = tuple(map(images.__getitem__, masks))
-    if images.action[0] and not is_laminar(out, manifold.full_mask):
-        report = validate_laminar(manifold, map(manifold.block_of, out))
-        raise NotLaminarAfterSlide(
-            f"slide {word_letter_text(manifold, letter)} breaks laminarity: "
-            + report.violations[0].message
-        )
+    """Apply one letter to a tuple of block masks, in order.
+
+    The image of a tuple the letter met before on this manifold object is
+    one lookup in its steps dict; a new slide image is checked for
+    laminarity first, and only an image that passes is stored.
+    """
+    try:  # read here, not through _compile_letter: a repeated step makes no call
+        held, images, steps = letter._compiled
+    except AttributeError:  # not compiled yet, or a twist or aut
+        held = None
+    if held is not manifold:
+        images = _compile_letter(manifold, letter)
+        if images is _IDENTITY:
+            return masks
+        steps = letter._compiled[2]
+    out = steps.get(masks)
+    if out is None:
+        out = tuple(map(images.__getitem__, masks))
+        if images.action[0] and not is_laminar(out, manifold.full_mask):
+            report = validate_laminar(manifold, map(manifold.block_of, out))
+            raise NotLaminarAfterSlide(
+                f"slide {word_letter_text(manifold, letter)} breaks laminarity: "
+                + report.violations[0].message
+            )
+        steps[masks] = out
     return out
 
 
@@ -209,8 +232,9 @@ def act_system(
 # ``_normalize`` never seeds it from its search key, so a replay always
 # folds the certificate's letters rather than reading the search's claim.
 # Those letters are the index's own moves and swapIrr letters, which
-# ``_reachability`` compiled, so the fold compiles none of them; it maps
-# every slot through each letter's map and reads nothing of the index.
+# ``_reachability`` compiled, so the fold compiles none of them; it applies
+# each letter to the whole slot tuple, by its steps dict or, the first time,
+# its map, and reads nothing of the index.
 
 
 def _fold_state(manifold: PrimeDecomposition, letters):
@@ -301,7 +325,10 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     tried on it once.  Its flat row holds each distinct target (target id
     shifted left by l with the spin bit flipped) once, under the first move
     number reaching it; a slide that breaks laminarity adds its number of
-    moves to the tuple's reject count instead.  Then a FIFO BFS over the keys
+    moves to the tuple's reject count instead.  A tuple already given an id
+    is laminar, so only a slide image met for the first time is checked,
+    and one that fails is kept in a set and never checked again; the search
+    leaves the letters' steps dicts empty.  Then a FIFO BFS over the keys
     ``id << l | bits`` follows the rows, moves in canonical text order, so
     the implied word for every state is the lexicographically least among
     the shortest.  A later move to a target already reached from the same
@@ -332,17 +359,20 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
     tuples = [start]  # the keys of ids, by id
     rows = []  # by id: target, move number, target, move number, ...
     rejects = []  # by id: moves whose slide breaks laminarity
+    broken = set()  # the slide images met so far that are not laminar
     for slots in tuples:
         own = len(rows) << ell  # a move back to the key itself sets no parent
         row = {own: -1}  # target -> first move number
         rejected = 0
         for image, slid, flip, n, count in actions:
             nslots = tuple(map(image, slots))
-            if slid and not is_laminar(nslots, full):
-                rejected += count
-                continue
-            tid = ids.setdefault(nslots, len(tuples))
-            if tid == len(tuples):
+            tid = ids.get(nslots)
+            if tid is None:  # met for the first time, or broken
+                if nslots in broken or slid and not is_laminar(nslots, full):
+                    broken.add(nslots)
+                    rejected += count
+                    continue
+                tid = ids[nslots] = len(tuples)
                 tuples.append(nslots)
             row.setdefault(tid << ell | flip, n)
         del row[own]
@@ -370,6 +400,17 @@ def _reachability(manifold: PrimeDecomposition) -> _Index:
         rejected,
     )
     return _Index(moves, swaps, ids, parent)
+
+
+def _held_steps(manifold: PrimeDecomposition) -> int:
+    """How many checked slot-tuple images the letters of the manifold's
+    search index hold in their steps dicts on this manifold object."""
+    index = _reachability(manifold)
+    return sum(
+        len(letter._compiled[2])
+        for letter in (*index.moves, *index.swaps.values())
+        if letter._compiled[0] is manifold
+    )
 
 
 def normalize_system(

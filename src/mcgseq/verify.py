@@ -361,6 +361,7 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
     std = standard_system(manifold)
     assignments = 0
     unreachable = 0
+    folded = 0  # certificate letters that the replays fold
     for fam, nonsep in symmetric:
         for assignment in allowable_assignments(manifold, nonsep):
             assignments += 1
@@ -378,6 +379,7 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
                 continue
             if mirror:
                 _fail(failures, "mirror-parity assignment normalized: ", word)
+            folded += len(word.letters)
             if systems.act_system(manifold, word, std) != fam:
                 _fail(failures, "normalized word misses the family: ", word)
             if systems.trace_assignment(manifold, word) != assignment:
@@ -388,6 +390,12 @@ def normalization_suite(manifold: PrimeDecomposition) -> dict:
             )
             if not sequence.is_discrepant(swapless):
                 _fail(failures, "slide/spin/swap part is not discrepant: ", word)
+    log.info(
+        "normalization replay: %d certificate letters folded; the search "
+        "index's letters hold %d checked slot-tuple images",
+        folded,
+        systems._held_steps(manifold),
+    )
     return {
         "suite": "normalization",
         "laminar_candidates": laminar_count,

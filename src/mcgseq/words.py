@@ -16,15 +16,19 @@ run it for ``act_system`` or ``trace_assignment``; every function here
 builds a new word, which starts with neither.
 
 A slide, spin or interchange letter carries its action on block masks in
-a ``_compiled`` slot, the pair (manifold, map), once
+a ``_compiled`` slot, the triple (manifold, map, steps), once
 ``systems._compile_letter``, the memo's one writer, has compiled it; it is
 read back only on that same manifold object.  The map (``systems._Images``,
 shared by equal actions) holds each mask's image next to the action
-``(slid, parity, swaps)`` that fills it.  So the BFS moves and swapIrr
-letters of ``systems._reachability`` arrive compiled in every certificate
-built from them: a replay still folds the certificate's own letters, but
-compiles none of them.  Like a word's memos, it takes no part in equality,
-hash, repr, pickling or copying.
+``(slid, parity, swaps)`` that fills it.  ``steps``, the letter's own dict,
+starts empty and maps each slot tuple that ``systems._act_masks`` has
+applied the letter to, on that manifold, to its image, checked for
+laminarity once; a rejected image is never stored.  So the BFS moves and
+swapIrr letters of ``systems._reachability`` arrive compiled in every
+certificate built from them: a replay still folds the certificate's own
+letters, but compiles none of them, and a step it took before is one
+lookup.  Like a word's memos, it takes no part in equality, hash, repr,
+pickling or copying.
 """
 
 from __future__ import annotations

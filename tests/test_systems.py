@@ -444,6 +444,24 @@ class TestBitsetCore:
             "21504 slides rejected as not laminar, from the standard system"
         ) in caplog.text
 
+    def test_checks_each_slide_image_once(self, mstar, monkeypatch):
+        # a tuple with an id is laminar, and a broken one is remembered: the
+        # search checks each distinct slide image at most once
+        checked = []
+        body = systems.is_laminar
+
+        def counting(masks, full):
+            checked.append(masks)
+            return body(masks, full)
+
+        monkeypatch.setattr(systems, "is_laminar", counting)
+        index = systems._reachability.__wrapped__(mstar)
+        assert len(checked) == len(set(checked)) == 1006
+        slides = [systems._compile_letter(mstar, mv) for mv in index.moves if isinstance(mv, SLIDES)]
+        images = {tuple(map(mp.__getitem__, slots)) for slots in index.ids for mp in slides}
+        assert set(checked) <= images
+        assert all(not letter._compiled[2] for letter in index.moves)
+
     def test_logs_counts_with_repeated_actions(self, caplog):
         # (3,2) has many slideIrr moves per action: the edge and reject
         # counts still count every move
@@ -1074,7 +1092,8 @@ class TestMaskMaps:
                 assert tuple(map(images.__getitem__, masks)) == masks
                 continue
             action = systems._mask_action(m, letter)
-            assert images.action == action and letter._compiled == (m, images)
+            # (manifold, map, steps): a fresh letter holds no slot tuple yet
+            assert images.action == action and letter._compiled == (m, images, {})
             assert maps.setdefault(action, images) is images
             assert tuple(map(images.__getitem__, masks)) == _reference_apply(action, masks)
             # a map may be shared with letters of other manifolds: every entry
@@ -1097,6 +1116,82 @@ class TestMaskMaps:
             messages.add(str(exc.value))
         assert len(messages) == 1
         assert messages.pop().startswith("slide slideEnd(1,-; x2^-1) breaks laminarity: ")
+
+
+def _reference_fold(manifold, letters):
+    """The slot masks after the letters, by ``_reference_apply`` on each
+    mask and ``_reference_laminar`` at each step, with no memo."""
+    masks = manifold.standard_slots
+    for letter in letters:
+        masks = _reference_apply(systems._mask_action(manifold, letter), masks)
+        assert _reference_laminar(tuple(map(manifold.block_of, masks)))
+    return masks
+
+
+class TestSteps:
+    """A compiled letter keeps, in its steps dict, the checked image of each
+    slot tuple ``_act_masks`` has applied it to on one manifold object."""
+
+    @pytest.mark.parametrize("named_manifold", ["mstar", "k2l1"], indirect=True)
+    def test_census_folds_match_a_memo_free_fold(self, named_manifold, monkeypatch):
+        m = named_manifold
+        # a cache of this test only, so the index's letters start with no steps
+        reachability = functools.lru_cache(maxsize=None)(systems._reachability.__wrapped__)
+        monkeypatch.setattr(systems, "_reachability", reachability)
+        index = reachability(m)
+        letters = (*index.moves, *index.swaps.values())
+        certificates = []
+        for family, nonsep in enumerate_symmetric(m)[0]:
+            for assignment in allowable_assignments(m, nonsep):
+                try:
+                    certificates.append(normalize_system(m, family, assignment).letters)
+                except Unreachable:  # the mirror half of a single handle
+                    pass
+        # neither the search nor the queries fill a steps dict
+        assert all(letter._compiled[0] is m and letter._compiled[2] == {} for letter in letters)
+        expected = [_reference_fold(m, lts) for lts in certificates]
+        for _ in range(2):  # with empty steps dicts, then with filled ones
+            assert [systems._fold_state(m, lts)[0] for lts in certificates] == expected
+        held = 0
+        for letter in letters:
+            steps = letter._compiled[2]
+            action = systems._mask_action(m, letter)
+            assert all(image == _reference_apply(action, masks) for masks, image in steps.items())
+            held += len(steps)
+        pairs = set()  # (letter, slot tuple) pairs the folds meet
+        for lts in certificates:
+            masks = m.standard_slots
+            for letter in lts:
+                pairs.add((id(letter), masks))
+                masks = letter._compiled[2][masks]
+        assert held == len(pairs) < sum(map(len, certificates))
+
+    def test_a_rejected_slide_raises_with_other_steps_held(self, mstar):
+        first, slide = parse_word(mstar, TestStandardFoldMemo.BREAKS).letters
+        start = mstar.standard_slots
+        kept = systems._act_masks(mstar, slide, start)
+        masks = systems._act_masks(mstar, first, start)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(NotLaminarAfterSlide) as exc:
+                systems._act_masks(mstar, slide, masks)
+            messages.add(str(exc.value))
+            assert slide._compiled[2] == {start: kept}
+        assert len(messages) == 1
+        assert messages.pop().startswith("slide slideEnd(1,-; x2^-1) breaks laminarity: ")
+
+    def test_a_second_manifold_object_starts_with_no_steps(self, mstar):
+        twin = build_manifold((ROOT_DIR / "fixtures" / "mstar.txt").read_text(encoding="utf-8"))
+        assert twin == mstar and twin is not mstar
+        letter = w.SlideEnd(1, 1, (("x", 2, 1),))
+        start = mstar.standard_slots
+        image = systems._act_masks(mstar, letter, start)
+        assert letter._compiled[0] is mstar and letter._compiled[2] == {start: image}
+        for m in (twin, mstar):
+            systems._compile_letter(m, letter)
+            assert letter._compiled[0] is m and letter._compiled[2] == {}
+            assert systems._act_masks(m, letter, start) == image
+            assert letter._compiled[2] == {start: image}
 
 
 class TestKnownDefects:
@@ -1517,6 +1612,20 @@ class TestNormalizationCompleteness:
         report = normalization_suite(request.getfixturevalue(name))
         assert report["ok"] and not report["failures"]
         assert report["assignments"] and report["unreachable"] * 2 == report["assignments"]
+
+    def test_suite_logs_the_replay(self, mstar, monkeypatch, caplog):
+        from mcgseq.verify import normalization_suite
+
+        # a cache of this test only, so the index's letters start with no steps
+        reachability = functools.lru_cache(maxsize=None)(systems._reachability.__wrapped__)
+        monkeypatch.setattr(systems, "_reachability", reachability)
+        with caplog.at_level(logging.INFO, logger="mcgseq.verify"):
+            report = normalization_suite(mstar)
+        assert report["ok"] and report["assignments"] == 5184
+        assert (
+            "normalization replay: 29424 certificate letters folded; the search "
+            "index's letters hold 4093 checked slot-tuple images"
+        ) in caplog.text
 
     def test_suite_fails_on_an_unreachable_matching_case(self, k2l1, monkeypatch):
         from mcgseq.verify import _mirror_parity, normalization_suite
