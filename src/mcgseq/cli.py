@@ -1,6 +1,10 @@
 """Command-line front end: parsing, dispatch, JSON/DOT emission.
 
-Each subcommand takes only the options it reads (``COMMANDS``).  Exit
+Each subcommand takes only the options it reads (``COMMANDS``).  ``main``
+reads and parses the input files a subcommand declares, in the declared
+order, and passes them to its handler, which returns its output: a JSON
+payload (a dict), or text for ``--format text|dot``.  ``main`` prints it
+to stdout or ``--out`` and returns the exit code.  Exit
 codes: 0 success, 1 domain error, 2 parse/config error; every error, a
 usage error too, is one JSON line on stdout.  Identical inputs and seed
 produce byte-identical output.  Set MCGSEQ_LOG to a logging level name
@@ -47,182 +51,104 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _load_manifold(args):
-    return textio.parse_manifold(_read(args.manifold))
-
-
-def _load_family(args):
-    return textio.parse_family(_read(args.family))
-
-
-def _load_word(args, manifold):
-    return textio.parse_word(manifold, _read(args.word))
-
-
 def _family_jsonable(family):
     return [sorted(textio.label_text(l) for l in b) for b in family.blocks]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed arguments and the inputs its
+# COMMANDS entry declares, and returns a JSON payload (a dict) or text
 
 
-def cmd_validate(args):
-    manifold = _load_manifold(args)
-    family = _load_family(args)
+def cmd_validate(args, manifold, family):
     report = validate_laminar(manifold, family.blocks)
-    _emit_json(
-        args,
-        {
-            "ok": report.ok,
-            "violations": [
-                {
-                    "code": v.code,
-                    "message": v.message,
-                    "blocks": [textio.block_text(b) for b in v.blocks],
-                }
-                for v in report.violations
-            ],
-            "duplicates": [textio.block_text(b) for b in report.duplicates],
-        },
-    )
-    return 0
+    return {
+        "ok": report.ok,
+        "violations": [
+            {
+                "code": v.code,
+                "message": v.message,
+                "blocks": [textio.block_text(b) for b in v.blocks],
+            }
+            for v in report.violations
+        ],
+        "duplicates": [textio.block_text(b) for b in report.duplicates],
+    }
 
 
-def cmd_classify(args):
-    manifold = _load_manifold(args)
-    family = _load_family(args)
+def cmd_classify(args, manifold, family):
     cls = classify_system(manifold, family)
-    _emit_json(
-        args,
-        {
-            "isSymmetric": cls.is_symmetric,
-            "perBlock": [
-                {
-                    "block": textio.block_text(info.block),
-                    "separating": info.separating,
-                    "census": textio.block_text(info.census),
-                }
-                for info in cls.per_block
-            ],
-            "summandBlocks": {
-                str(i): textio.block_text(b) for i, b in cls.summand_blocks
-            },
-            "nonsepBlocks": [textio.block_text(b) for b in cls.nonsep_blocks],
+    return {
+        "isSymmetric": cls.is_symmetric,
+        "perBlock": [
+            {
+                "block": textio.block_text(info.block),
+                "separating": info.separating,
+                "census": textio.block_text(info.census),
+            }
+            for info in cls.per_block
+        ],
+        "summandBlocks": {
+            str(i): textio.block_text(b) for i, b in cls.summand_blocks
         },
-    )
-    return 0
+        "nonsepBlocks": [textio.block_text(b) for b in cls.nonsep_blocks],
+    }
 
 
-def cmd_educe(args):
-    manifold = _load_manifold(args)
-    word = _load_word(args, manifold)
-    image = sequence.educe(word)
-    _emit_json(args, textio.image_to_jsonable(manifold, image))
-    return 0
+def cmd_educe(args, manifold, word):
+    return textio.image_to_jsonable(manifold, sequence.educe(word))
 
 
-def cmd_lift(args):
-    manifold = _load_manifold(args)
-    if args.image is not None:
-        try:
-            data = json.loads(_read(args.image))
-        except ValueError as exc:  # malformed JSON, or an integer of > 4,300 digits
-            raise ParseError(f"bad eduction image JSON: {exc}")
-        image = textio.image_from_jsonable(manifold, data)
-    else:
-        image = sequence.educe(_load_word(args, manifold))
-    lifted = sequence.lift(manifold, image)
-    if args.format == "text":
-        _emit(args, textio.word_text(lifted))
-    else:
-        _emit_json(args, {"word": textio.word_text(lifted)})
-    return 0
+def cmd_lift(args, manifold, given):
+    image = given if args.image is not None else sequence.educe(given)
+    lifted = textio.word_text(sequence.lift(manifold, image))
+    return lifted if args.format == "text" else {"word": lifted}
 
 
-def cmd_kernel_test(args):
-    manifold = _load_manifold(args)
-    word = _load_word(args, manifold)
+def cmd_kernel_test(args, manifold, word):
     image = sequence.educe(word)  # once: the kernel test is image == identity
-    _emit_json(
-        args,
-        {
-            "discrepant": image == sequence.identity_image(manifold),
-            "eduction": textio.image_to_jsonable(manifold, image),
-        },
-    )
-    return 0
+    return {
+        "discrepant": image == sequence.identity_image(manifold),
+        "eduction": textio.image_to_jsonable(manifold, image),
+    }
 
 
-def cmd_factor(args):
-    manifold = _load_manifold(args)
-    word = _load_word(args, manifold)
-    factored = sequence.factor_discrepant(word)
-    if args.format == "text":
-        _emit(args, textio.word_text(factored))
-    else:
-        _emit_json(args, {"word": textio.word_text(factored)})
-    return 0
+def cmd_factor(args, manifold, word):
+    factored = textio.word_text(sequence.factor_discrepant(word))
+    return factored if args.format == "text" else {"word": factored}
 
 
-def cmd_act_pi1(args):
-    manifold = _load_manifold(args)
-    word = _load_word(args, manifold)
+def cmd_act_pi1(args, manifold, word):
     if args.element is not None:
         u = textio.parse_fpword(manifold, args.element)
         result = fpgroup.act_pi1(manifold, word, u)
-        _emit_json(args, {"result": textio.fpword_text(manifold, result)})
-    else:
-        table = fpgroup.aut_of_word(manifold, word)
-        images = {}
-        for key, img in table.images:
-            name = (
-                f"g:{key[1]}:{key[2]}" if key[0] == "g" else f"x{key[1]}"
-            )
-            images[name] = textio.fpword_text(manifold, img)
-        _emit_json(args, {"images": images})
-    return 0
+        return {"result": textio.fpword_text(manifold, result)}
+    table = fpgroup.aut_of_word(manifold, word)
+    images = {}
+    for key, img in table.images:
+        name = f"g:{key[1]}:{key[2]}" if key[0] == "g" else f"x{key[1]}"
+        images[name] = textio.fpword_text(manifold, img)
+    return {"images": images}
 
 
-def cmd_act_system(args):
-    manifold = _load_manifold(args)
-    word = _load_word(args, manifold)
-    family = _load_family(args)
+def cmd_act_system(args, manifold, word, family):
     image = systems.act_system(manifold, word, family)
     if args.format == "dot":
-        _emit(args, systems.family_dot(manifold, image, name="image"))
-    elif args.format == "text":
-        _emit(args, textio.family_text(image))
-    else:
-        _emit_json(args, {"family": _family_jsonable(image)})
-    return 0
+        return systems.family_dot(manifold, image, name="image")
+    if args.format == "text":
+        return textio.family_text(image)
+    return {"family": _family_jsonable(image)}
 
 
-def cmd_normalize_system(args):
-    manifold = _load_manifold(args)
-    family = _load_family(args)
-    assignment = textio.parse_assignment(manifold, _read(args.assignment))
+def cmd_normalize_system(args, manifold, family, assignment):
     word = systems.normalize_system(manifold, family, assignment)
     std = standard_system(manifold)
     if args.format == "dot":
         before = systems.family_dot(manifold, std, name="before")
         after = systems.family_dot(manifold, family, name="after")
-        _emit(args, before + "\n" + after)
-        return 0
+        return before + "\n" + after
+    if args.format == "text":
+        return textio.word_text(word)
     trace = []
     current = std
     for letter in word.letters:
@@ -235,33 +161,20 @@ def cmd_normalize_system(args):
                 "family": _family_jsonable(current),
             }
         )
-    payload = {
+    return {
         "word": textio.word_text(word),
         "trace": trace,
         "statesVisited": len(systems._reachability(manifold)),
     }
-    if args.format == "text":
-        _emit(args, textio.word_text(word))
-    else:
-        _emit_json(args, payload)
-    return 0
 
 
-def cmd_spotted_educe(args):
-    marking = textio.parse_spotted_marking(_read(args.manifold))
-    letters = textio.parse_spotted_word(marking, _read(args.word))
+def cmd_spotted_educe(args, marking, letters):
     cap, perm = sequence.spotted_educe(marking, letters)
-    _emit_json(
-        args,
-        {
-            "cap": marking.cap_type.mcg.elem_to_text(cap),
-            "perm": list(perm),
-        },
-    )
-    return 0
+    return {"cap": marking.cap_type.mcg.elem_to_text(cap), "perm": list(perm)}
 
 
-def cmd_verify(args):
+def _check_verify(args):
+    """Raise ParseError on a bad ``verify`` option, before any input is read."""
     if args.max_len < 0:
         raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
     if args.case_limit is not None and args.case_limit < 1:
@@ -271,40 +184,32 @@ def cmd_verify(args):
             f"--max-len {args.max_len} exceeds the default guard "
             f"{MAX_LEN_GUARD}; pass --allow-long to override"
         )
-    suite = verify.SUITES.get(args.suite)
-    if suite is None:
+    if args.suite not in verify.SUITES:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}"
         )
-    max_len = args.max_len
+
+
+def cmd_verify(args, manifold):
+    suite = verify.SUITES[args.suite]
     if args.suite == "spotted":
-        marking = textio.parse_spotted_marking(_read(args.manifold))
-        report = suite(marking, max_len=max_len)
-    else:
-        manifold = _load_manifold(args)
-        if args.suite == "exactness":
-            report = suite(manifold, max_len=max_len, mixed_len=min(max_len, 3))
-        elif args.suite == "pi1":
-            pairs = 300 if args.case_limit is None else args.case_limit
-            report = suite(manifold, seed=args.seed, pairs=pairs)
-        elif args.suite == "roundtrip":
-            cases = 200 if args.case_limit is None else args.case_limit
-            report = suite(manifold, seed=args.seed, cases=cases)
-        else:
-            report = suite(manifold)
-    _emit_json(args, report)
-    return 0 if report["ok"] else 1
+        return suite(manifold, max_len=args.max_len)
+    if args.suite == "exactness":
+        return suite(manifold, max_len=args.max_len, mixed_len=min(args.max_len, 3))
+    if args.suite == "pi1":
+        pairs = 300 if args.case_limit is None else args.case_limit
+        return suite(manifold, seed=args.seed, pairs=pairs)
+    if args.suite == "roundtrip":
+        cases = 200 if args.case_limit is None else args.case_limit
+        return suite(manifold, seed=args.seed, cases=cases)
+    return suite(manifold)
 
 
-def cmd_render(args):
-    manifold = _load_manifold(args)
-    family = _load_family(args)
+def cmd_render(args, manifold, family):
     family_masks(manifold, family.blocks)  # InvalidFamily unless laminar over L
     if args.format == "json":
-        _emit_json(args, {"family": _family_jsonable(family)})
-    else:
-        _emit(args, systems.family_dot(manifold, family))
-    return 0
+        return {"family": _family_jsonable(family)}
+    return systems.family_dot(manifold, family)
 
 
 # Input files, in the order main checks that they exist.  A command that
@@ -345,15 +250,50 @@ COMMANDS = {
 }
 
 
+def _parse_image(manifold, text: str):
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer of > 4,300 digits
+        raise ParseError(f"bad eduction image JSON: {exc}")
+    return textio.image_from_jsonable(manifold, data)
+
+
+# How each input but the manifold is parsed, given the manifold.
+_PARSERS = {
+    "family": lambda manifold, text: textio.parse_family(text),
+    "word": textio.parse_word,
+    "assignment": textio.parse_assignment,
+    "image": _parse_image,
+}
+
+
+def _load(args, inputs: str) -> list:
+    """The input files among ``inputs`` (a ``COMMANDS`` entry), read and
+    parsed in that order; for "image|word", whichever was given.  The
+    manifold is a spotted marking, and the word a spotted word, for
+    ``spotted-educe`` and ``verify --suite spotted``."""
+    spotted = args.command == "spotted-educe" or getattr(args, "suite", "") == "spotted"
+    loaded = []
+    for option in inputs.split():
+        if option == "manifold":
+            parse = textio.parse_spotted_marking if spotted else textio.parse_manifold
+            manifold = parse(_read(args.manifold))
+            loaded.append(manifold)
+        elif option.split("|")[0] in INPUTS:
+            name = next(n for n in option.split("|") if getattr(args, n) is not None)
+            parse = textio.parse_spotted_word if spotted else _PARSERS[name]
+            loaded.append(parse(manifold, _read(getattr(args, name))))
+    return loaded
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mcgseq",
         description="Mapping class group calculus for reducible 3-manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, options, formats) in COMMANDS.items():
+    for name, (_, options, formats) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
         for option in options.split():
             if "|" in option:
                 group = p.add_mutually_exclusive_group(required=True)
@@ -378,28 +318,31 @@ def main(argv=None) -> int:
             path = getattr(args, name, None)
             if path is not None and not os.path.exists(path):
                 raise FileNotFoundError(f"input file not found: {path}")
+        if args.command == "verify":
+            _check_verify(args)
+        handler, inputs, _ = COMMANDS[args.command]
         log.info("running %s", args.command)
-        return args.handler(args)
-    except ParseError as exc:
-        json.dump({"error": {"kind": "parse", "message": str(exc)}}, sys.stdout)
-        sys.stdout.write("\n")
-        return 2
-    except OSError as exc:
-        json.dump({"error": {"kind": "io", "message": str(exc)}}, sys.stdout)
-        sys.stdout.write("\n")
-        return 2
-    except McgseqError as exc:
-        json.dump(
-            {
-                "error": {
-                    "kind": type(exc).__name__,
-                    "message": str(exc),
-                }
-            },
-            sys.stdout,
+        output = handler(args, *_load(args, inputs))
+        text = output if isinstance(output, str) else json.dumps(
+            output, indent=2, sort_keys=True
         )
+        text += "" if text.endswith("\n") else "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return int(args.command == "verify" and not output["ok"])
+    except (OSError, McgseqError) as exc:
+        if isinstance(exc, ParseError):
+            kind, code = "parse", 2
+        elif isinstance(exc, OSError):
+            kind, code = "io", 2
+        else:
+            kind, code = type(exc).__name__, 1
+        json.dump({"error": {"kind": kind, "message": str(exc)}}, sys.stdout)
         sys.stdout.write("\n")
-        return 1
+        return code
 
 
 if __name__ == "__main__":

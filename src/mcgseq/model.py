@@ -11,7 +11,6 @@ what each sphere encloses: a laminar multiset of subsets of L.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable
 
 from .errors import InvalidFamily, NotReducible, NotSymmetric, OracleError
@@ -48,8 +47,6 @@ def block_key(block: frozenset):
     return (len(block), sorted(label_key(l) for l in block))
 
 
-# bounded: a census renders the same few blocks in every assignment
-@functools.lru_cache(maxsize=1024)
 def block_text(block: frozenset) -> str:
     inner = ",".join(label_text(l) for l in sorted(block, key=label_key))
     return "{" + inner + "}"
@@ -484,7 +481,6 @@ class SystemClass(Value):
         "summand_blocks",  # (i, block) when symmetric
         "nonsep_blocks",
     )
-    _defaults = {"summand_blocks": (), "nonsep_blocks": ()}
 
 
 def _handles_connect(manifold: PrimeDecomposition, blocks) -> bool:
@@ -600,7 +596,9 @@ def classify_system(manifold: PrimeDecomposition, family: LaminarFamily) -> Syst
         for b, m, sep, cov in zip(family.blocks, masks, separating, covered)
     )
     if not _is_symmetric(manifold, masks):
-        return SystemClass(per_block=infos, is_symmetric=False)
+        return SystemClass(
+            per_block=infos, is_symmetric=False, summand_blocks=(), nonsep_blocks=()
+        )
     nonsep = sorted((m for m, s in zip(masks, separating) if not s), key=mask_key)
     return SystemClass(
         per_block=infos,

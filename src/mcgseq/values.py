@@ -8,8 +8,8 @@ and each dataclass compiles its methods from source at import.
 
 Equality and hash are derived from ``_fields`` once per class, when it is
 defined, so no class writes its own.  The constructor is derived from
-``_fields`` too, with ``_defaults`` for the fields a caller may leave out.
-Eleven classes keep their own constructor.  Three are built on hot paths
+``_fields`` too, and takes every field.  Eleven classes keep their own
+constructor.  Three are built on hot paths
 and write through their slot descriptors' setters: ``words.Word`` (about
 1,600 per exact-sequence operation), ``sequence.EductionImage`` (182 per
 operation) and ``model.Assignment`` (5,184 per census set-up).  Eight
@@ -28,9 +28,8 @@ class Value:
     equal (``NotImplemented`` against any other class), the hash is that
     of the fields' tuple, and the repr is the dataclass repr, so every
     comparison, hash order and printed form is the frozen dataclass's.
-    The constructor takes the fields by position or by name, a missing
-    one from ``_defaults``, and raises TypeError on a missing, unexpected,
-    surplus or repeated argument.  Setting or deleting an attribute raises
+    The constructor takes the fields by position or by name and raises
+    TypeError on a missing, unexpected, surplus or repeated argument.  Setting or deleting an attribute raises
     AttributeError: ``__init__`` and the memos write through the slot
     descriptors or ``object.__setattr__``.  Pickling and copying rebuild
     the value from its fields through ``__init__``, which checks them
@@ -39,7 +38,6 @@ class Value:
 
     __slots__ = ()
     _fields: tuple = ()
-    _defaults: dict = {}  # field -> value when not given; read only
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -53,7 +51,7 @@ class Value:
         """The fields in order from a call that is not one positional
         argument per field; TypeError unless it names each field once."""
         fields, given = cls._fields, dict(zip(cls._fields, args))
-        bound = {**cls._defaults, **given, **kwargs}
+        bound = {**given, **kwargs}
         surplus = len(args) > len(fields) or given.keys() & kwargs
         if surplus or bound.keys() != set(fields):
             raise TypeError(

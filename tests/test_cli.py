@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import re
 import sys
@@ -924,3 +925,132 @@ class TestFuzzedInputs:
             assert out and "Traceback" not in err
         else:
             _assert_structured(code, out, err)
+
+
+# The malformed text of each input file, and the fixture of each valid one
+# (the spotted fixtures for spotted-educe).  The valid image is never
+# parsed: the only other input of lift is the manifold, read before it.
+MALFORMED = {
+    "manifold": "nonsense\n",
+    "family": "block {\n",
+    "word": "nope(\n",
+    "assignment": "nope\n",
+    "image": "{\n",
+}
+WELL_FORMED = {
+    "manifold": "mstar.txt",
+    "family": "family_standard.txt",
+    "word": "word_slide.txt",
+    "assignment": "assignment_slid.txt",
+    "image": "word_aut.txt",
+}
+# Each subcommand with two or more input files, and its inputs in the order
+# COMMANDS declares them; lift once with each of its two alternatives.
+ORDERED_INPUTS = [
+    ("validate", ("manifold", "family")),
+    ("classify", ("manifold", "family")),
+    ("educe", ("manifold", "word")),
+    ("lift", ("manifold", "word")),
+    ("lift", ("manifold", "image")),
+    ("kernel-test", ("manifold", "word")),
+    ("factor", ("manifold", "word")),
+    ("act-pi1", ("manifold", "word")),
+    ("act-system", ("manifold", "word", "family")),
+    ("normalize-system", ("manifold", "family", "assignment")),
+    ("spotted-educe", ("manifold", "word")),
+    ("render", ("manifold", "family")),
+]
+
+
+def _run_inputs(tmp, command, inputs, malformed, *options):
+    """cli.main on the inputs, those named in ``malformed`` as malformed
+    texts (a missing file if the text is None), the rest as fixtures."""
+    spotted = {"manifold": "spotted.txt", "word": "word_spotted.txt"}
+    argv = [command, *options]
+    for name in inputs:
+        if name in malformed:
+            path = Path(tmp) / f"bad-{name}.txt"
+            if malformed[name] is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_text(malformed[name], encoding="utf-8")
+        elif command == "spotted-educe":
+            path = FIXTURES / spotted[name]
+        else:
+            path = FIXTURES / WELL_FORMED[name]
+        argv += [f"--{name}", str(path)]
+    return run_cli(*argv)
+
+
+class TestInputOrder:
+    """A run with several malformed inputs reports the first in the order
+    the subcommand declares them; a missing file, and a bad verify option,
+    is reported before any input is read."""
+
+    def test_every_command_with_several_inputs_is_listed(self):
+        from mcgseq.cli import COMMANDS, INPUTS
+
+        several = {
+            name for name, (_, options, _) in COMMANDS.items()
+            if sum(o.split("|")[0] in INPUTS for o in options.split()) > 1
+        }
+        assert several == {command for command, _ in ORDERED_INPUTS}
+
+    @pytest.mark.parametrize(
+        "command, inputs", ORDERED_INPUTS, ids=[f"{c}-{i[-1]}" for c, i in ORDERED_INPUTS]
+    )
+    def test_first_malformed_input_is_reported(self, tmp_path, command, inputs):
+        alone = {
+            name: _run_inputs(tmp_path, command, inputs, {name: MALFORMED[name]})
+            for name in inputs
+        }
+        for code, out in alone.values():
+            assert code == 2 and json.loads(out)["error"]["kind"] == "parse"
+        assert len(set(alone.values())) == len(inputs), "each error is its own"
+        for size in range(2, len(inputs) + 1):
+            for bad in itertools.combinations(inputs, size):
+                got = _run_inputs(
+                    tmp_path, command, inputs, {n: MALFORMED[n] for n in bad}
+                )
+                assert got == alone[bad[0]], bad
+        # a missing last input is reported before the malformed ones
+        missing = {n: MALFORMED[n] for n in inputs[:-1]} | {inputs[-1]: None}
+        code, out = _run_inputs(tmp_path, command, inputs, missing)
+        assert (code, json.loads(out)["error"]["kind"]) == (2, "io")
+        assert f"bad-{inputs[-1]}.txt" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--max-len", "-1", "--case-limit", "0", "--suite", "nope"),
+             "--max-len must be >= 0"),
+            (("--case-limit", "0", "--max-len", "7", "--suite", "nope"),
+             "--case-limit must be >= 1"),
+            (("--max-len", "7", "--suite", "nope"), "exceeds the default guard"),
+            (("--suite", "nope"), "unknown suite 'nope'"),
+        ],
+    )
+    def test_verify_options_before_manifold(self, tmp_path, options, message):
+        bad = {"manifold": MALFORMED["manifold"]}
+        code, out = _run_inputs(tmp_path, "verify", ("manifold",), bad, *options)
+        assert code == 2
+        assert message in json.loads(out)["error"]["message"]
+        for suite in ("roundtrip", "spotted"):  # the manifold alone is reported
+            code, out = _run_inputs(
+                tmp_path, "verify", ("manifold",), bad, "--suite", suite
+            )
+            assert code == 2 and message not in json.loads(out)["error"]["message"]
+
+    def test_act_pi1_word_before_element(self, tmp_path):
+        inputs = ("manifold", "word")
+        bad_element = ("--element", "g1@")
+        word_error = _run_inputs(
+            tmp_path, "act-pi1", inputs, {"word": MALFORMED["word"]}
+        )
+        element_error = _run_inputs(tmp_path, "act-pi1", inputs, {}, *bad_element)
+        assert word_error[0] == element_error[0] == 2
+        assert word_error != element_error
+        both = _run_inputs(
+            tmp_path, "act-pi1", inputs, {"word": MALFORMED["word"]}, *bad_element
+        )
+        assert both == word_error

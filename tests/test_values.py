@@ -111,10 +111,7 @@ def _cases(m):
         (fpgroup.AutTable, {"manifold": m, "images": table.images}, {"images": ()}),
         (fpgroup.AbAction, {"manifold": m, "images": ab.images}, {"images": ()}),
     ]
-    defaults = {
-        model.HomeoType: {"act": ()},
-        model.SystemClass: {"summand_blocks": (), "nonsep_blocks": ()},
-    }
+    defaults = {model.HomeoType: {"act": ()}}
     return {
         cls.__name__: (cls, fields, {**fields, **changed}, defaults.get(cls, {}))
         for cls, fields, changed in rows
