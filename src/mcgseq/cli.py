@@ -1,14 +1,14 @@
 """Command-line front end: parsing, dispatch, JSON/DOT emission.
 
 Each subcommand takes only the options it reads (``COMMANDS``).  ``main``
-reads and parses the input files a subcommand declares, in the declared
-order, and passes them to its handler, which returns its output: a JSON
-payload (a dict), or text for ``--format text|dot``.  ``main`` prints it
-to stdout or ``--out`` and returns the exit code.  Exit
-codes: 0 success, 1 domain error, 2 parse/config error; every error, a
-usage error too, is one JSON line on stdout.  Identical inputs and seed
-produce byte-identical output.  Set MCGSEQ_LOG to a logging level name
-for diagnostics on stderr.
+checks that the input files a subcommand declares exist, then reads and
+parses them, each time in the declared order, and passes them to its
+handler, which returns its output: a JSON payload (a dict), or text for
+``--format text|dot``.  ``main`` prints it to stdout or ``--out`` and
+returns the exit code.  Exit codes: 0 success, 1 domain error, 2
+parse/config error; every error, a usage error too, is one JSON line on
+stdout.  Identical inputs and seed produce byte-identical output.  Set
+MCGSEQ_LOG to a logging level name for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -212,8 +212,10 @@ def cmd_render(args, manifold, family):
     return systems.family_dot(manifold, family)
 
 
-# Input files, in the order main checks that they exist.  A command that
-# declares one requires it; "image|word" requires exactly one of the two.
+# Input files.  A command that declares one requires it; "image|word"
+# requires exactly one of the two.  main checks that a command's input
+# files exist, and then reads them, in the order its COMMANDS entry names
+# them.
 INPUTS = {
     "manifold": "manifold (or spotted marking) file",
     "family": "laminar family file",
@@ -314,13 +316,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
         args = build_parser().parse_args(argv)
-        for name in INPUTS:
-            path = getattr(args, name, None)
+        handler, inputs, _ = COMMANDS[args.command]
+        for name in inputs.replace("|", " ").split():
+            path = getattr(args, name) if name in INPUTS else None
             if path is not None and not os.path.exists(path):
                 raise FileNotFoundError(f"input file not found: {path}")
         if args.command == "verify":
             _check_verify(args)
-        handler, inputs, _ = COMMANDS[args.command]
         log.info("running %s", args.command)
         output = handler(args, *_load(args, inputs))
         text = output if isinstance(output, str) else json.dumps(

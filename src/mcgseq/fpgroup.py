@@ -11,7 +11,8 @@ letter acts by one of the five automorphism types that generate the
 automorphisms of a free product (Fouxe-Rabinovitch): partial conjugations
 (slideIrr, slideHandle), transvections (slideEnd), inversions (spin),
 interchanges (swapIrr, swapHandles) and factor automorphisms (aut); twists
-act trivially.  ``act_letter_pi1`` has one branch per type.
+act trivially.  ``_action`` has one branch per type; ``act_letter_pi1``
+applies it to one word and ``aut_of_word`` to every generator's image.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ FPWord = tuple  # of letters
 
 
 def check_letters(manifold: PrimeDecomposition, letters) -> None:
+    k, ell, summands = manifold.k, manifold.ell, manifold.summands
     for letter in letters:
-        if letter[0] == "g":
+        tag = letter[0]
+        if tag == "g":
             _, i, elem = letter
-            if not 1 <= i <= manifold.k:
-                raise OracleError(f"factor index {i} out of range 1..{manifold.k}")
-            manifold.type_of(i).pi1.check_element(elem)
-        elif letter[0] == "x":
+            if not 1 <= i <= k:
+                raise OracleError(f"factor index {i} out of range 1..{k}")
+            summands[i - 1].pi1.check_element(elem)
+        elif tag == "x":
             _, j, sign = letter
-            if not 1 <= j <= manifold.ell or sign not in (1, -1):
+            if not 1 <= j <= ell or sign not in (1, -1):
                 raise OracleError(f"bad handle letter {letter!r}")
         else:
             raise OracleError(f"bad pi1 letter {letter!r}")
@@ -41,11 +44,12 @@ def check_letters(manifold: PrimeDecomposition, letters) -> None:
 def fp_reduce(manifold: PrimeDecomposition, letters) -> FPWord:
     """Canonical reduced form; adjacent same-factor letters merge via oracle."""
     check_letters(manifold, letters)
+    summands = manifold.summands
     out: list = []
     for letter in letters:
         if letter[0] == "g":
             _, i, elem = letter
-            oracle = manifold.type_of(i).pi1
+            oracle = summands[i - 1].pi1
             if oracle.is_identity(elem):
                 continue
             if out and out[-1][0] == "g" and out[-1][1] == i:
@@ -83,23 +87,19 @@ def fp_inv(manifold: PrimeDecomposition, u: FPWord) -> FPWord:
 def generator_words(manifold: PrimeDecomposition) -> list[tuple[tuple, FPWord]]:
     """The pi1 generating set as (table key, one-letter word) pairs.
 
-    Keys are ('g', i, gen_name) and ('x', j).
+    Keys are ('g', i, gen_name) and ('x', j).  The manifold derives them
+    once.
     """
-    out = []
-    for i in range(1, manifold.k + 1):
-        for name, elem in manifold.type_of(i).pi1.generators():
-            out.append((("g", i, name), (("g", i, elem),)))
-    for j in range(1, manifold.ell + 1):
-        out.append((("x", j), (("x", j, 1),)))
-    return out
+    return list(manifold.generator_words)
 
 
 # ---------------------------------------------------------------------------
 # letter actions
 
 
-def act_letter_pi1(manifold: PrimeDecomposition, letter, u: FPWord) -> FPWord:
-    """Action of a single generator letter on a reduced word.
+def _action(manifold: PrimeDecomposition, letter):
+    """The action of a single generator letter on a reduced word, as a
+    function from the word to the letters of its image before reduction.
 
     Each letter acts by one of the five automorphism types of a free
     product (gamma is the slide path):
@@ -114,56 +114,83 @@ def act_letter_pi1(manifold: PrimeDecomposition, letter, u: FPWord) -> FPWord:
       indices a and b of the g or x letters;
     * factor automorphism: ``aut(i, t)`` applies t's pi1 table to G_i.
 
-    A twist acts trivially.
+    A twist acts trivially.  What does not depend on the word is done
+    here, once per letter, before the function is returned: a slide's
+    path is inverted, and so checked, whatever word it then acts on, and
+    an aut letter's table is looked up.
     """
-    from . import words as w  # local import; words depends on this module
-
     kind = type(letter)
     if kind is w.SlideIrr or kind is w.SlideHandle:
         tag, n = ("g", letter.summand) if kind is w.SlideIrr else ("x", letter.handle)
         gamma, gamma_inv = letter.path, fp_inv(manifold, letter.path)
-        out: list = []
-        for lt in u:
-            if lt[0] == tag and lt[1] == n:
-                out += gamma_inv
-                out.append(lt)
-                out += gamma
-            else:
-                out.append(lt)
+
+        def act(u):
+            out: list = []
+            for lt in u:
+                if lt[0] == tag and lt[1] == n:
+                    out += gamma_inv
+                    out.append(lt)
+                    out += gamma
+                else:
+                    out.append(lt)
+            return out
+
     elif kind is w.SlideEnd:
         j, sign = letter.handle, letter.sign
         gamma, gamma_inv = letter.path, fp_inv(manifold, letter.path)
-        out = []
-        for lt in u:
-            if lt[0] != "x" or lt[1] != j:
-                out.append(lt)
-            elif lt[2] == sign:
-                out.append(lt)
-                out += gamma
-            else:
-                out += gamma_inv
-                out.append(lt)
+
+        def act(u):
+            out: list = []
+            for lt in u:
+                if lt[0] != "x" or lt[1] != j:
+                    out.append(lt)
+                elif lt[2] == sign:
+                    out.append(lt)
+                    out += gamma
+                else:
+                    out += gamma_inv
+                    out.append(lt)
+            return out
+
     elif kind is w.Spin:
         j = letter.handle
-        out = [("x", j, -lt[2]) if lt[0] == "x" and lt[1] == j else lt for lt in u]
+
+        def act(u):
+            return [("x", j, -lt[2]) if lt[0] == "x" and lt[1] == j else lt for lt in u]
+
     elif kind is w.SwapIrr or kind is w.SwapHandles:
         tag, a, b = "g" if kind is w.SwapIrr else "x", letter.a, letter.b
-        out = [
-            (tag, a + b - lt[1], lt[2]) if lt[0] == tag and lt[1] in (a, b) else lt
-            for lt in u
-        ]
+
+        def act(u):
+            return [
+                (tag, a + b - lt[1], lt[2]) if lt[0] == tag and lt[1] in (a, b) else lt
+                for lt in u
+            ]
+
     elif kind is w.Aut:
         i = letter.summand
-        table = manifold.type_of(i).pi1_table(letter.token)
-        out = [
-            ("g", i, table.apply(lt[2])) if lt[0] == "g" and lt[1] == i else lt
-            for lt in u
-        ]
+        apply = manifold.type_of(i).pi1_table(letter.token).apply
+
+        def act(u):
+            return [
+                ("g", i, apply(lt[2])) if lt[0] == "g" and lt[1] == i else lt
+                for lt in u
+            ]
+
     elif kind is w.Twist:
-        out = u
+
+        def act(u):
+            return u
+
     else:
         raise InvalidWord(f"unknown generator letter {letter!r}")
-    return fp_reduce(manifold, out)
+    return act
+
+
+def act_letter_pi1(manifold: PrimeDecomposition, letter, u: FPWord) -> FPWord:
+    """Action of a single generator letter on a reduced word (see
+    ``_action``), reduced."""
+    return fp_reduce(manifold, _action(manifold, letter)(u))
 
 
 def act_pi1(manifold: PrimeDecomposition, word, u: FPWord) -> FPWord:
@@ -199,10 +226,23 @@ class AutTable(Value):
 
 
 def aut_of_word(manifold: PrimeDecomposition, word) -> AutTable:
-    images = []
-    for key, gen_word in generator_words(manifold):
-        images.append((key, act_pi1(manifold, word, gen_word)))
-    return AutTable(manifold, tuple(images))
+    """The images of the generator words under ``act_pi1`` of the word.
+
+    One pass over the letters: each acts on every generator's image in
+    turn, so that the work ``_action`` does per letter is done once.  The
+    generator words are reduced already: no oracle names its identity as a
+    generator.  With no generator the table is empty, whatever the word.
+    """
+    gens = manifold.generator_words
+    if not gens:
+        return AutTable(manifold, ())
+    if word.manifold != manifold:
+        raise InvalidWord("word belongs to a different manifold")
+    images = [u for _, u in gens]
+    for letter in word.letters:
+        act = _action(manifold, letter)
+        images = [fp_reduce(manifold, act(u)) for u in images]
+    return AutTable(manifold, tuple(zip([key for key, _ in gens], images)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +371,6 @@ def identity_ab_action(manifold: PrimeDecomposition) -> AbAction:
 
 
 def _ab_action_of_letter(manifold: PrimeDecomposition, letter) -> AbAction:
-    from . import words as w
-
     m = manifold
     images = {key: h1_basis_vector(m, key) for key, _ in ab_basis(m)}
     if isinstance(letter, (w.SlideIrr, w.SlideHandle, w.Twist)):
@@ -394,3 +432,7 @@ def abelianize_table(table: AutTable) -> AbAction:
     known = dict(reversed(table.images))  # the first entry of a repeated key wins
     images = [(key, h1_of_fpword(m, known[key])) for key, _ in ab_basis(m)]
     return AbAction(m, tuple(sorted(images)))
+
+
+# bound last: words imports this module at its top
+from . import words as w  # noqa: E402

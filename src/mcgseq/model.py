@@ -163,9 +163,10 @@ class PrimeDecomposition(Value):
     blocks, the summand targets (for each summand i, the singletons {s(p)}
     of its type, each with its p), the type classes (summand indices
     grouped by type, in index order), the swap pairs (the pairs a < b in
-    one class, sorted), the duplicate tokens and the hash are derived
-    once, here: hashing the fields would rehash every nested summand type
-    on each call.  ``block_of`` memoizes its frozensets in a
+    one class, sorted), the duplicate tokens, the pi1 generator words
+    (``fpgroup.generator_words``) and the hash are derived once, here:
+    hashing the fields would rehash every nested summand type on each
+    call.  ``block_of`` memoizes its frozensets in a
     dict keyed by the mask's part inside L, so it holds at most one entry
     per subset of L; it starts with the standard blocks, so it returns
     those same objects.  The ``_identity_image`` slot keeps the identity of
@@ -185,6 +186,7 @@ class PrimeDecomposition(Value):
         "type_classes",
         "swap_pairs",
         "duplicate_tokens",
+        "generator_words",
         "_blocks",
         "_hash",
         "_identity_image",
@@ -229,6 +231,12 @@ class PrimeDecomposition(Value):
                 [("d", i) for i in range(1, k + 1)]
                 + [("d", j, s) for j in range(1, self.handles + 1) for s in (1, -1)]
             ),
+            # pi1's generators, as fpgroup.generator_words returns them
+            "generator_words": tuple(
+                (("g", i, name), (("g", i, elem),))
+                for i, t in enumerate(self.summands, 1)
+                for name, elem in t.pi1.generators()
+            ) + tuple((("x", j), (("x", j, 1),)) for j in range(1, self.handles + 1)),
             "_blocks": standard,
             "_hash": hash((self.summands, self.handles)),
             "_identity_image": None,

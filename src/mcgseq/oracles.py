@@ -434,7 +434,11 @@ class TableOracle(GroupOracle):
         return self.names[self._identity_index]
 
     def mul(self, a, b):
-        return self.names[self.table[self._index(a)][self._index(b)]]
+        index_of = self._index_of
+        try:
+            return self.names[self.table[index_of[a]][index_of[b]]]
+        except (KeyError, TypeError):  # _index names the first non-element
+            return self.names[self.table[self._index(a)][self._index(b)]]
 
     def inv(self, a):
         i = self._index(a)
@@ -677,14 +681,25 @@ def type_permutations(type_classes: list[list[int]]):
         yield perm
 
 
+def _unit_ball(oracle: GroupOracle) -> list:
+    """The ball of radius 1 about the identity: the identity, then each
+    generator, then each generator's inverse, each element once."""
+    gens = [elem for _, elem in oracle.generators()]
+    return list(dict.fromkeys([oracle.identity, *gens, *map(oracle.inv, gens)]))
+
+
 def wreath_elements(oracles: list[GroupOracle], type_classes: list[list[int]]):
     """Enumerate (perm, tokens) pairs of the type-preserving wreath product.
 
-    ``oracles[i]`` is the mcg oracle of summand i+1.  Yields pairs
+    ``oracles[i]`` is the mcg oracle of summand i+1; an infinite one gives
+    the tokens of ``_unit_ball`` in place of its elements.  Yields pairs
     ``(perm, tokens)`` with perm a dict i -> pi(i) from ``type_permutations``
     and tokens a dict i -> oracle element.
     """
-    token_choices = [list(oracle.elements()) for oracle in oracles]
+    token_choices = [
+        list(oracle.elements()) if oracle.is_finite else _unit_ball(oracle)
+        for oracle in oracles
+    ]
     for perm in type_permutations(type_classes):
         for tokens in itertools.product(*token_choices):
             yield dict(perm), dict(enumerate(tokens, 1))

@@ -15,6 +15,7 @@ from .errors import InvalidWord, NotDiscrepant, OracleError, TypeMismatch
 from .model import HomeoType, PrimeDecomposition
 from . import words as w
 from .values import Value
+from .words import DISCREPANT_TYPES, Aut, SwapIrr, _set_image
 
 
 class EductionImage(Value):
@@ -92,19 +93,21 @@ def educe(word: w.Word) -> EductionImage:
     without aut or swapIrr letters returns the identity image itself.
     """
     manifold = word.manifold
-    identity = identity_image(manifold)
+    identity = manifold._identity_image
+    if identity is None:
+        identity = identity_image(manifold)
     perm = None
     for letter in word.letters:
         kind = type(letter)
-        if kind in w.DISCREPANT_TYPES:
+        if kind in DISCREPANT_TYPES:
             continue
         if perm is None:
             perm, tokens = list(identity.perm), list(identity.tokens)
             inv = {s: i for i, s in enumerate(perm)}  # inv[s]: source now at s
-        if kind is w.Aut:
+        if kind is Aut:
             i = inv[letter.summand]
             tokens[i] = manifold.summands[i].mcg.mul(tokens[i], letter.token)
-        elif kind is w.SwapIrr:
+        elif kind is SwapIrr:
             a, b = letter.a, letter.b
             perm[inv[a]], perm[inv[b]] = b, a
             inv[a], inv[b] = inv[b], inv[a]
@@ -146,58 +149,56 @@ def lift(manifold: PrimeDecomposition, image: EductionImage) -> w.Word:
     """
     check_image(manifold, image)
     perm = {i: image.perm_of(i) for i in range(1, manifold.k + 1)}
-    letters: list = [w.SwapIrr(a, b) for a, b in perm_transpositions(perm)]
+    letters: list = [SwapIrr(a, b) for a, b in perm_transpositions(perm)]
     auts = []
     for i in range(1, manifold.k + 1):
         token = image.token_of(i)
         if not manifold.type_of(i).mcg.is_identity(token):
-            auts.append(w.Aut(image.perm_of(i), token))
+            auts.append(Aut(image.perm_of(i), token))
     auts.sort(key=lambda lt: lt.summand)
     return w.Word.of(manifold, tuple(letters + auts))
-
-
-def _eduction(word: w.Word) -> EductionImage:
-    """``educe(word)``, folded once per word and kept in its ``_image`` slot.
-
-    Once it has run, the word's manifold holds its identity image, which
-    ``educe`` builds.
-    """
-    image = word._image
-    if image is None:
-        image = educe(word)
-        w._set_image(word, image)
-    return image
 
 
 def is_discrepant(word: w.Word) -> bool:
     """True iff the word educes to the identity of H(V).
 
-    The word is folded at most once (``_eduction``), so a later
-    ``factor_discrepant`` of it reads the same image.  ``educe`` hands back
-    the manifold's identity image itself for a word without aut or swapIrr
-    letters, so that case skips the field-by-field comparison.
+    The word is folded at most once: its image is kept in its ``_image``
+    slot, so a later ``factor_discrepant`` of it reads the same image.
+    ``educe`` hands back the manifold's identity image itself for a word
+    without aut or swapIrr letters, so that case skips the comparison;
+    otherwise the permutation and token tuples are compared directly,
+    which costs less than the equality that ``Value`` derives.
     """
-    image = _eduction(word)
+    image = word._image
+    if image is None:
+        image = educe(word)
+        _set_image(word, image)
     identity = word.manifold._identity_image
-    return image is identity or image == identity
+    return image is identity or (
+        image.perm == identity.perm and image.tokens == identity.tokens
+    )
 
 
 def factor_discrepant(word: w.Word) -> w.Word:
     """Rewrite a kernel word over the discrepant alphabet only.
 
     Normalizes to (discrepant)(aut)(swapIrr), checks via the oracles that
-    the trailing segment evaluates to the identity, and deletes it.  A word
-    without aut or swapIrr letters, the one case in which ``educe`` returns
-    the identity image itself, is returned unchanged and skips the rewrite:
+    the trailing segment evaluates to the identity, and deletes it.  The
+    word is folded at most once, as in ``is_discrepant``.  A word without
+    aut or swapIrr letters, the one case in which ``educe`` returns the
+    identity image itself, is returned unchanged and skips the rewrite:
     its normal form is its own letters in order with an empty trailing
     segment, so the rewrite would rebuild an equal word.
     """
     manifold = word.manifold
-    image = _eduction(word)
+    image = word._image
+    if image is None:
+        image = educe(word)
+        _set_image(word, image)
     identity = manifold._identity_image
     if image is identity:
         return word
-    if image != identity:
+    if image.perm != identity.perm or image.tokens != identity.tokens:
         raise NotDiscrepant("word does not educe to the identity")
     head, auts, swaps = w._segments(word)
     tail = auts + swaps

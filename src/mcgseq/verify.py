@@ -241,7 +241,9 @@ def allowable_assignments(manifold: PrimeDecomposition, nonsep_blocks):
 
 
 def _wreath_images(manifold: PrimeDecomposition):
-    """The elements of H(V) as eduction images, in ``wreath_elements`` order."""
+    """The elements of H(V) as eduction images, in ``wreath_elements`` order:
+    for a summand whose mcg is infinite, the tokens of a ball about its
+    identity."""
     summands = range(1, manifold.k + 1)
     oracles = [t.mcg for t in manifold.summands]
     for perm, tokens in wreath_elements(oracles, manifold.type_classes):
@@ -317,7 +319,7 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
         compared,
         vacuous,
     )
-    return {
+    report = {
         "suite": "exactness",
         "discrepant_words": words_checked,
         "wreath_elements": elements,
@@ -326,6 +328,9 @@ def exactness_suite(manifold: PrimeDecomposition, max_len=4, mixed_len=3) -> dic
         "failures": failures,
         "ok": not failures,
     }
+    if not all(t.mcg.is_finite for t in manifold.summands):
+        report["h_ball_radius"] = 1  # see oracles.wreath_elements
+    return report
 
 
 def _system_outcome(manifold, word, family):

@@ -239,13 +239,13 @@ class Word(Value):
     """An immutable word over the alphabet of H(W) on one manifold.
 
     A ``Value`` of the pair (manifold, letters).  The ``_image`` slot keeps
-    the word's eduction once ``sequence._eduction`` has folded it (None
-    until then).  The ``_fold`` slot keeps the (slot masks, spin bits) of
-    the standard system carried along the word once
-    ``systems._standard_fold`` has folded it; it is left unset until then,
-    so that building a word stores nothing more, and reading it raises
-    AttributeError.  Neither memo takes part in equality, hash, repr,
-    pickling or copying.
+    the word's eduction once ``sequence.is_discrepant`` or
+    ``sequence.factor_discrepant`` has folded it (None until then).  The
+    ``_fold`` slot keeps the (slot masks, spin bits) of the standard
+    system carried along the word once ``systems._standard_fold`` has
+    folded it; it is left unset until then, so that building a word
+    stores nothing more, and reading it raises AttributeError.  Neither
+    memo takes part in equality, hash, repr, pickling or copying.
     """
 
     _fields = ("manifold", "letters")

@@ -633,6 +633,32 @@ class TestVerifyCommand:
         assert payload["ok"] is True
         assert payload["wreath_elements"] == 8
 
+    @pytest.mark.parametrize("suite", ["exactness", "roundtrip"])
+    def test_suites_on_an_infinite_mcg(self, tmp_path, suite):
+        # free_mcg's summands have the free mcg F2: H(V) is infinite, and
+        # the suites take the radius-1 ball of each summand's mcg
+        from conftest import FREE_MCG_TEXT
+
+        path = tmp_path / "free_mcg.txt"
+        path.write_text(FREE_MCG_TEXT, encoding="utf-8")
+        code, out = run_cli(
+            "verify", "--suite", suite, "--manifold", str(path), "--max-len", "1"
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        if suite == "exactness":
+            # 3! permutations times 5 tokens (1, g1, g2 and their inverses)
+            # for each of the three summands
+            assert payload["wreath_elements"] == 6 * 5**3
+            assert payload["h_ball_radius"] == 1
+
+    def test_finite_mcg_reports_no_ball_radius(self):
+        code, out = run_cli(
+            "verify", "--suite", "exactness", "--manifold", fx("mstar.txt"),
+            "--max-len", "1",
+        )
+        assert code == 0 and "h_ball_radius" not in json.loads(out)
+
     def test_spotted_suite(self):
         code, out = run_cli(
             "verify",
@@ -1018,6 +1044,20 @@ class TestInputOrder:
         code, out = _run_inputs(tmp_path, command, inputs, missing)
         assert (code, json.loads(out)["error"]["kind"]) == (2, "io")
         assert f"bad-{inputs[-1]}.txt" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, inputs", ORDERED_INPUTS,
+        ids=[f"{c}-{i[-1]}" for c, i in ORDERED_INPUTS],
+    )
+    def test_first_missing_input_is_reported(self, tmp_path, command, inputs):
+        for size in range(1, len(inputs) + 1):
+            for gone in itertools.combinations(inputs, size):
+                code, out = _run_inputs(
+                    tmp_path, command, inputs, dict.fromkeys(gone)
+                )
+                error = json.loads(out)["error"]
+                assert (code, error["kind"]) == (2, "io"), gone
+                assert error["message"].endswith(f"bad-{gone[0]}.txt"), gone
 
     @pytest.mark.parametrize(
         "options, message",

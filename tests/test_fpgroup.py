@@ -108,6 +108,121 @@ class TestActPi1:
             act_pi1(s3_sign, parse_word(mstar, "spin(1)"), ())
 
 
+# A summand with a table pi1, on which an element is found by hashing it.
+TABLE_PI1_TEXT = """
+type P pi1=table[1,t;1,t|t,1] mcg=Z/1
+summand 1 P
+summand 2 P
+handles 1
+"""
+
+# Each bad pi1 letter on mstar (pi1 Z/2 factors, k = 2): the outcome, as
+# ("ok",) or (error class, message), of fp_reduce on the letter, of a twist
+# and of act_pi1 acting on it, and of a slide whose path is the letter, by
+# act_letter_pi1 and act_pi1 on a word it does not meet, and by aut_of_word.
+# The slide inverts its path first, so a path may fail as its inverse does.
+BAD_LETTER_OUTCOMES = {
+    "factor index 0": (
+        g(0),
+        ("OracleError", "factor index 0 out of range 1..2"),
+        ("IndexError", "summand index 0 out of range 1..2"),
+        ("IndexError", "summand index 0 out of range 1..2"),
+    ),
+    "factor index k+1": (
+        g(3),
+        ("OracleError", "factor index 3 out of range 1..2"),
+        ("IndexError", "summand index 3 out of range 1..2"),
+        ("IndexError", "summand index 3 out of range 1..2"),
+    ),
+    # the inverse of 5 in Z/2 is an element: only a word that meets the
+    # slide takes the path itself
+    "non-element": (
+        g(1, 5),
+        ("OracleError", "5 is not an element of Z/2"),
+        ("ok",),
+        ("OracleError", "5 is not an element of Z/2"),
+    ),
+    "float on a cyclic factor": (
+        g(1, 1.0),
+        ("OracleError", "1.0 is not an element of Z/2"),
+        ("OracleError", "1.0 is not an element of Z/2"),
+        ("OracleError", "1.0 is not an element of Z/2"),
+    ),
+    # True is an int: a cyclic factor accepts it
+    "True on a cyclic factor": (g(1, True), ("ok",), ("ok",), ("ok",)),
+    "sign 0": (
+        x(1, 0),
+        ("OracleError", "bad handle letter ('x', 1, 0)"),
+        ("OracleError", "bad handle letter ('x', 1, 0)"),
+        ("OracleError", "bad handle letter ('x', 1, 0)"),
+    ),
+    "sign 2": (
+        x(1, 2),
+        ("OracleError", "bad handle letter ('x', 1, 2)"),
+        ("OracleError", "bad handle letter ('x', 1, -2)"),
+        ("OracleError", "bad handle letter ('x', 1, -2)"),
+    ),
+    # the inverse of a letter that is not a g letter is an x letter
+    "unknown tag": (
+        ("y", 1, 1),
+        ("OracleError", "bad pi1 letter ('y', 1, 1)"),
+        ("ok",),
+        ("OracleError", "bad pi1 letter ('y', 1, 1)"),
+    ),
+    "unhashable element": (
+        g(1, [1]),
+        ("OracleError", "[1] is not an element of Z/2"),
+        ("TypeError", "bad operand type for unary -: 'list'"),
+        ("TypeError", "bad operand type for unary -: 'list'"),
+    ),
+}
+
+# The same on a table factor, where True, 1 and an unhashable list are no
+# elements: fp_reduce, act_letter_pi1 and aut_of_word of the slide.
+TABLE_LETTER_OUTCOMES = {
+    "True": g(1, True),
+    "int": g(1, 1),
+    "unhashable": g(1, ["t"]),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return ("ok",)
+
+
+class TestLetterCheckErrors:
+    """A bad pi1 letter, in the word acted on or in a slide's path, raises
+    the same error class and message in each function that checks it."""
+
+    @pytest.mark.parametrize("name", BAD_LETTER_OUTCOMES)
+    def test_bad_letter_on_cyclic_factors(self, mstar, name):
+        bad, in_word, in_path, in_table = BAD_LETTER_OUTCOMES[name]
+        twist, slide = w.Twist(("sep", 1)), w.SlideHandle(1, (bad,))
+        unmet = (g(2),)
+        assert _outcome(fp_reduce, mstar, (bad,)) == in_word
+        assert _outcome(fpgroup.act_letter_pi1, mstar, twist, (bad,)) == in_word
+        assert _outcome(act_pi1, mstar, w.Word(mstar, (twist,)), (bad,)) == in_word
+        assert _outcome(fpgroup.act_letter_pi1, mstar, slide, unmet) == in_path
+        assert _outcome(act_pi1, mstar, w.Word(mstar, (slide,)), unmet) == in_path
+        assert _outcome(aut_of_word, mstar, w.Word(mstar, (slide,))) == in_table
+
+    @pytest.mark.parametrize("name", TABLE_LETTER_OUTCOMES)
+    def test_bad_letter_on_a_table_factor(self, name):
+        from mcgseq import build_manifold
+
+        manifold = build_manifold(TABLE_PI1_TEXT)
+        bad = TABLE_LETTER_OUTCOMES[name]
+        error = ("OracleError", f"{bad[2]!r} is not an element of table[1,t;1,t|t,1]")
+        slide = w.SlideHandle(1, (bad,))
+        assert _outcome(fp_reduce, manifold, (bad,)) == error
+        assert _outcome(fpgroup.act_letter_pi1, manifold, slide, (g(2, "t"),)) == error
+        assert _outcome(aut_of_word, manifold, w.Word(manifold, (slide,))) == error
+
+
 class TestAutTable:
     def test_identity_word(self, mstar):
         identity = AutTable(mstar, tuple(generator_words(mstar)))

@@ -119,6 +119,17 @@ class TestTable:
         with pytest.raises(OracleError, match="is not an element of"):
             Z2_TABLE.check_element(token)
 
+    @pytest.mark.parametrize(
+        "a, b, named",
+        [("q", "tau", "'q'"), ("tau", "q", "'q'"), ("q", ["x"], "'q'"),
+         (["x"], "q", "['x']"), ("tau", {"tau": 1}, "{'tau': 1}")],
+    )
+    def test_mul_names_the_first_non_element(self, a, b, named):
+        message = f"{named} is not an element of table[1,tau;1,tau|tau,1]"
+        with pytest.raises(OracleError) as caught:
+            Z2_TABLE.mul(a, b)
+        assert str(caught.value) == message
+
     def test_abelianization_of_s3(self):
         ab, project = S3.abelianized()
         # independent check: |ab| = |G| / |commutator subgroup| = 6/3 = 2

@@ -278,6 +278,185 @@ class TestFactorFastPath:
             factor_discrepant(parse_word(mstar, "aut(1,tau) aut(1,tau)"))
 
 
+# ---------------------------------------------------------------------------
+# references: the kernel test and the factorization through a helper that
+# folds and keeps the image, and the pi1 table folded one generator at a
+# time, each letter inverting its slide path on every application
+
+
+NOT_IN_KERNEL = "word does not educe to the identity"
+
+
+def _ref_eduction(word):
+    image = word._image
+    if image is None:
+        image = educe(word)
+        w._set_image(word, image)
+    return image
+
+
+def _ref_is_discrepant(word):
+    image = _ref_eduction(word)
+    identity = word.manifold._identity_image
+    return image is identity or image == identity
+
+
+def _ref_factor_discrepant(word):
+    manifold = word.manifold
+    image = _ref_eduction(word)
+    identity = manifold._identity_image
+    if image is identity:
+        return word
+    if image != identity:
+        raise NotDiscrepant(NOT_IN_KERNEL)
+    head, auts, swaps = w._segments(word)
+    tail = auts + swaps
+    if tail and educe(w.Word(manifold, tuple(tail))) != identity:
+        raise OracleError(
+            "normalize_word produced a non-trivial trailing segment for a "
+            "kernel word"
+        )
+    return w.Word(manifold, tuple(head))
+
+
+def _ref_act_letter(manifold, letter, u):
+    kind = type(letter)
+    if kind is w.SlideIrr or kind is w.SlideHandle:
+        tag, n = ("g", letter.summand) if kind is w.SlideIrr else ("x", letter.handle)
+        gamma, gamma_inv = letter.path, fpgroup.fp_inv(manifold, letter.path)
+        out = []
+        for lt in u:
+            if lt[0] == tag and lt[1] == n:
+                out += [*gamma_inv, lt, *gamma]
+            else:
+                out.append(lt)
+    elif kind is w.SlideEnd:
+        j, sign = letter.handle, letter.sign
+        gamma, gamma_inv = letter.path, fpgroup.fp_inv(manifold, letter.path)
+        out = []
+        for lt in u:
+            if lt[0] != "x" or lt[1] != j:
+                out.append(lt)
+            elif lt[2] == sign:
+                out += [lt, *gamma]
+            else:
+                out += [*gamma_inv, lt]
+    elif kind is w.Spin:
+        j = letter.handle
+        out = [("x", j, -lt[2]) if lt[0] == "x" and lt[1] == j else lt for lt in u]
+    elif kind is w.SwapIrr or kind is w.SwapHandles:
+        tag, a, b = "g" if kind is w.SwapIrr else "x", letter.a, letter.b
+        out = [
+            (tag, a + b - lt[1], lt[2]) if lt[0] == tag and lt[1] in (a, b) else lt
+            for lt in u
+        ]
+    elif kind is w.Aut:
+        i = letter.summand
+        table = manifold.type_of(i).pi1_table(letter.token)
+        out = [
+            ("g", i, table.apply(lt[2])) if lt[0] == "g" and lt[1] == i else lt
+            for lt in u
+        ]
+    elif kind is w.Twist:
+        out = u
+    else:
+        raise InvalidWord(f"unknown generator letter {letter!r}")
+    return fpgroup.fp_reduce(manifold, out)
+
+
+def _ref_generator_words(manifold):
+    out = []
+    for i in range(1, manifold.k + 1):
+        for name, elem in manifold.type_of(i).pi1.generators():
+            out.append((("g", i, name), (("g", i, elem),)))
+    for j in range(1, manifold.ell + 1):
+        out.append((("x", j), (("x", j, 1),)))
+    return out
+
+
+def _ref_aut_of_word(manifold, word):
+    images = []
+    for key, gen_word in _ref_generator_words(manifold):
+        if word.manifold != manifold:
+            raise InvalidWord("word belongs to a different manifold")
+        out = fpgroup.fp_reduce(manifold, gen_word)
+        for letter in word.letters:
+            out = _ref_act_letter(manifold, letter, out)
+        images.append((key, out))
+    return fpgroup.AutTable(manifold, tuple(images))
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestHotPathMatchesReference:
+    """The kernel test, the factorization and the pi1 table agree with the
+    references on every mixed word up to length 2 and on random words up
+    to length 6, answers and errors alike."""
+
+    @pytest.mark.parametrize("name", ["mstar", "mixed_types", "s3_sign", "free_mcg"])
+    def test_mixed_and_random_words(self, name, request):
+        manifold = request.getfixturevalue(name)
+        assert fpgroup.generator_words(manifold) == _ref_generator_words(manifold)
+        alphabet = w.discrepant_alphabet(manifold) + w.nondiscrepant_alphabet(manifold)
+        rng = random.Random(31)
+        combos = [
+            combo for length in range(3)
+            for combo in itertools.product(alphabet, repeat=length)
+        ] + [random_word(manifold, rng, max_len=6).letters for _ in range(2000)]
+        identity = identity_image(manifold)
+        rejected = 0
+        for combo in combos:
+            word, ref = w.Word(manifold, combo), w.Word(manifold, combo)
+            assert is_discrepant(word) == _ref_is_discrepant(ref)
+            factored = _outcome(factor_discrepant, word)
+            assert factored == _outcome(_ref_factor_discrepant, ref)
+            rejected += factored == (NotDiscrepant, NOT_IN_KERNEL)
+            table = fpgroup.aut_of_word(manifold, word)
+            assert table == _ref_aut_of_word(manifold, ref)
+            if all(map(w.is_discrepant_letter, combo)):
+                assert educe(word) is identity
+        assert 0 < rejected < len(combos)
+
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            (w.Aut(0, "tau"),),
+            (w.SwapIrr(1, 3),),
+            (w.Aut(1, "tau"), "not a letter"),
+            (w.Aut(1, ["tau"]),),
+            (w.Aut(1, "q"), w.Aut(1, "tau")),
+        ],
+    )
+    def test_errors(self, mstar, letters):
+        word, ref = w.Word(mstar, letters), w.Word(mstar, letters)
+        assert _outcome(is_discrepant, word) == _outcome(_ref_is_discrepant, ref)
+        word, ref = w.Word(mstar, letters), w.Word(mstar, letters)
+        outcome = _outcome(factor_discrepant, word)
+        assert outcome == _outcome(_ref_factor_discrepant, ref)
+        word, ref = w.Word(mstar, letters), w.Word(mstar, letters)
+        assert _outcome(fpgroup.aut_of_word, mstar, word) == _outcome(
+            _ref_aut_of_word, mstar, ref
+        )
+
+    def test_no_generators(self, mstar):
+        # pi1 is trivial: the table is empty, whatever the word
+        from mcgseq import build_manifold
+
+        trivial = build_manifold(
+            "type T pi1=Z/1 mcg=Z/2 act=g1:\nsummand 1 T\nsummand 2 T\nhandles 0\n"
+        )
+        empty = fpgroup.AutTable(trivial, ())
+        for word in (w.Word(mstar, (w.Spin(1),)), w.Word(trivial, ("not a letter",))):
+            table = fpgroup.aut_of_word(trivial, word)
+            assert table == _ref_aut_of_word(trivial, word) == empty
+
+
 class TestExactnessSuite:
     def test_non_abelian_mcg(self, s3_sign, caplog):
         # S3 acting on Z/3 by the sign: eduction, lift and factoring must

@@ -176,7 +176,7 @@ class TestWordValue:
 
     def _educed(self, manifold):
         word = parse_word(manifold, self.TEXT)
-        sequence._eduction(word)
+        sequence.is_discrepant(word)
         assert word._image is not None
         return word
 
@@ -253,7 +253,7 @@ class TestFoldMemo:
 
     def test_new_words_start_without_a_memo(self, mstar):
         word = self._folded(mstar)
-        sequence._eduction(word)
+        sequence.is_discrepant(word)
         built = [
             w.compose(word, word),
             w.compose(w.empty_word(mstar), word),
@@ -734,7 +734,7 @@ class TestEductionMemo:
             assert _factor_outcome(sequence.factor_discrepant, factor_first) == factored
             assert sequence.is_discrepant(factor_first) == in_kernel
             educed = w.Word(manifold, combo)
-            sequence._eduction(educed)
+            sequence.is_discrepant(educed)
             for word in (kernel_first, factor_first, educed):  # all educed now
                 assert sequence.is_discrepant(word) == in_kernel, word_text(word)
                 assert _factor_outcome(sequence.factor_discrepant, word) == factored
